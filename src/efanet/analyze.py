@@ -3,7 +3,7 @@ per module at a stated input resolution.
 
 Conventions (also printed in every report header):
   * one multiply-accumulate = 2 FLOPs, so a convolution costs
-    2 * Cout * Cin * kh * kw * Hout * Wout (bias adds excluded);
+    2 * Cout * Cin * kh * kw * Hout * Wout per image (bias adds excluded);
   * elementwise ops, resizes and pooling cost 1 FLOP per output element.
 
 FLOPs are measured by running one eval-mode forward pass with a recorder

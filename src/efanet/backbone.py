@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import ConvBNReLU, Module, ResidualBlock
+from .layers import ConvBNReLU, Module, NamedList, ResidualBlock
 
 
 @dataclass
@@ -26,8 +26,8 @@ class BackboneConfig:
         self.blocks_per_level = tuple(int(b) for b in self.blocks_per_level)
         if len(self.channels_per_level) != 5 or len(self.blocks_per_level) != 5:
             raise ValueError("backbone needs exactly 5 levels")
-        if any(c <= 0 for c in self.channels_per_level):
-            raise ValueError("channels_per_level must be strictly positive")
+        if min(self.channels_per_level + (self.input_channels, self.stem_channels)) < 1:
+            raise ValueError("channel counts must be strictly positive")
 
 
 @dataclass
@@ -49,15 +49,15 @@ class Backbone(Module):
         self.stem = ConvBNReLU(config.input_channels, config.stem_channels, 3,
                                rng, stride=2, dtype=dtype)
         prev = config.stem_channels
-        self.levels = _LevelList()
+        levels = []
         for i in range(5):
             stride = 1 if i == 0 else 2
-            level = _Level(prev, chans[i], config.blocks_per_level[i], stride,
-                           rng, dtype)
-            setattr(self.levels, f"level{i + 1}", level)
+            levels.append((f"level{i + 1}", _Level(
+                prev, chans[i], config.blocks_per_level[i], stride, rng, dtype)))
             prev = chans[i]
+        self.levels = NamedList(levels)
 
-    def __call__(self, image):
+    def forward(self, image):
         n, c, h, w = image.shape
         if c != self.config.input_channels:
             raise ValueError(
@@ -67,27 +67,21 @@ class Backbone(Module):
                 f"input spatial size ({h}x{w}) must be a multiple of 32 and >= 32")
         x = self.stem(image)
         feats = []
-        for i in range(5):
-            x = getattr(self.levels, f"level{i + 1}")(x)
+        for level in self.levels:
+            x = level(x)
             feats.append(x)
         return FeaturePyramid(feats)
-
-
-class _LevelList(Module):
-    pass
 
 
 class _Level(Module):
     def __init__(self, cin, cout, n_blocks, stride, rng, dtype):
         super().__init__()
         self.transition = ConvBNReLU(cin, cout, 3, rng, stride=stride, dtype=dtype)
-        self.blocks = _LevelList()
-        for b in range(n_blocks):
-            setattr(self.blocks, f"block{b + 1}", ResidualBlock(cout, rng, dtype))
-        self.n_blocks = n_blocks
+        self.blocks = NamedList((f"block{b + 1}", ResidualBlock(cout, rng, dtype))
+                                for b in range(n_blocks))
 
-    def __call__(self, x):
+    def forward(self, x):
         x = self.transition(x)
-        for b in range(self.n_blocks):
-            x = getattr(self.blocks, f"block{b + 1}")(x)
+        for block in self.blocks:
+            x = block(x)
         return x

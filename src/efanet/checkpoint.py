@@ -14,6 +14,8 @@ save -> load -> save is byte-identical.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -39,15 +41,38 @@ def _write_record(f, name, array):
     f.write(data.tobytes())
 
 
-def _read_record(f):
-    (name_len,) = struct.unpack("<I", f.read(4))
-    name = f.read(name_len).decode("utf-8")
-    (rank,) = struct.unpack("<I", f.read(4))
-    shape = struct.unpack("<%dI" % rank, f.read(4 * rank))
-    count = int(np.prod(shape)) if rank else 1
-    payload = f.read(4 * count)
-    if len(payload) != 4 * count:
-        raise CheckpointError(f"truncated payload for tensor {name!r}")
+class _Reader:
+    """Length-checked reads from an open checkpoint file; a length read from
+    a corrupt file is checked against the bytes left before it is read."""
+
+    def __init__(self, f):
+        self.f = f
+        self.left = os.fstat(f.fileno()).st_size
+
+    def take(self, n, what):
+        if n > self.left:
+            raise CheckpointError(
+                f"truncated checkpoint: {what} needs {n} bytes, {self.left} left")
+        self.left -= n
+        return self.f.read(n)
+
+    def unpack(self, fmt, what):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def text(self, what):
+        """UTF-8 text preceded by its u32 byte length."""
+        raw = self.take(self.unpack("<I", f"{what} length")[0], what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{what} is not UTF-8: {exc}") from None
+
+
+def _read_record(r):
+    name = r.text("tensor name")
+    (rank,) = r.unpack("<I", f"rank of {name!r}")
+    shape = r.unpack("<%dI" % rank, f"extents of {name!r}")
+    payload = r.take(4 * math.prod(shape), f"payload of {name!r}")
     return name, np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
 
 
@@ -83,28 +108,30 @@ def load_checkpoint(path, expect_cfg: RunConfig | None = None):
     Returns (model, cfg, step, optimizer_state or None).
     """
     with open(path, "rb") as f:
-        magic = f.read(4)
+        r = _Reader(f)
+        magic = r.take(4, "magic")
         if magic != MAGIC:
             raise CheckpointError(f"{path}: bad magic {magic!r}")
-        version, step = struct.unpack("<IQ", f.read(12))
+        version, step = r.unpack("<IQ", "header")
         if version != VERSION:
             raise CheckpointError(
                 f"{path}: unsupported checkpoint version {version}")
-        (cfg_len,) = struct.unpack("<I", f.read(4))
-        cfg = parse_config(f.read(cfg_len).decode("utf-8"))
+        echo = r.text("config echo")
+        try:
+            cfg = parse_config(echo)
+            dtype = cfg.np_dtype()
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: bad config echo: {exc}") from None
         if expect_cfg is not None:
             _check_config_match(expect_cfg, cfg, path)
-        model = EFANet(cfg.model, seed=cfg.train.seed, dtype=cfg.np_dtype())
-        (n_tensors,) = struct.unpack("<I", f.read(4))
-        stored = {}
-        for _ in range(n_tensors):
-            name, arr = _read_record(f)
-            stored[name] = arr
-        (has_opt,) = struct.unpack("<B", f.read(1))
+        model = EFANet(cfg.model, seed=cfg.train.seed, dtype=dtype)
+        (n_tensors,) = r.unpack("<I", "tensor count")
+        stored = dict(_read_record(r) for _ in range(n_tensors))
+        (has_opt,) = r.unpack("<B", "optimizer flag")
         opt_state = None
         if has_opt:
-            (n_opt,) = struct.unpack("<I", f.read(4))
-            opt_state = dict(_read_record(f) for _ in range(n_opt))
+            (n_opt,) = r.unpack("<I", "optimizer tensor count")
+            opt_state = dict(_read_record(r) for _ in range(n_opt))
 
     params = dict(model.named_parameters())
     buffers = dict(model.named_buffers())

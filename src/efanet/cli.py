@@ -15,8 +15,7 @@ import numpy as np
 from . import dataio, pipeline
 from .analyze import analyze_model
 from .checkpoint import CheckpointError, load_checkpoint
-from .config import ConfigError, RunConfig, load_config, serialize_config
-from .dataio import DataFormatError, ManifestError
+from .config import ConfigError, load_config
 from .train import NumericFailure, evaluate, predict_probability, train, \
     write_eval_outputs
 
@@ -139,13 +138,11 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ManifestError, DataFormatError, ValueError) as exc:
-        if isinstance(exc, CheckpointError):
-            print(f"checkpoint error: {exc}", file=sys.stderr)
-            return EXIT_CHECKPOINT
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except CheckpointError as exc:
+        print(f"checkpoint error: {exc}", file=sys.stderr)
+        return EXIT_CHECKPOINT
+    # config, manifest and data format errors are all ValueErrors
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .backbone import BackboneConfig
 from .model import ModelConfig
 from .pipeline import AugConfig
 
@@ -30,6 +29,12 @@ class OptimConfig:
     eps: float = 1e-8
     max_steps: int = 2000
     checkpoint_interval: int = 10  # epochs
+
+    def __post_init__(self):
+        for key in ("batch_size", "checkpoint_interval"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"optim.{key} must be >= 1, "
+                                  f"got {getattr(self, key)}")
 
 
 @dataclass
@@ -147,6 +152,7 @@ def parse_config(text, base=None) -> RunConfig:
     cfg.model.backbone.__post_init__()
     cfg.model.__post_init__()
     cfg.aug.__post_init__()
+    cfg.optim.__post_init__()
     return cfg
 
 

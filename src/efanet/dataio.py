@@ -70,18 +70,6 @@ def write_pgm(path, values):
         f.write(data.tobytes())
 
 
-def write_ppm(path, values):
-    """Write a (3,H,W) array in [0,1] as binary PPM."""
-    arr = np.asarray(values)
-    if arr.ndim != 3 or arr.shape[0] != 3:
-        raise DataFormatError("write_ppm expects shape (3,H,W)")
-    data = np.clip(np.round(arr * 255.0), 0, 255).astype(np.uint8)
-    hwc = data.transpose(1, 2, 0)
-    with open(path, "wb") as f:
-        f.write(b"P6\n%d %d\n255\n" % (hwc.shape[1], hwc.shape[0]))
-        f.write(hwc.tobytes())
-
-
 def read_mask(path, threshold=0.5):
     """Read a PGM mask and binarize at `threshold` of the max value."""
     arr = read_pnm(path)

@@ -10,6 +10,7 @@ created with ``requires_grad=True``.
 
 from __future__ import annotations
 
+import operator
 import threading
 
 import numpy as np
@@ -120,15 +121,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self):
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
-
-    def detach(self):
-        return Tensor(self.data)
-
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype}{flag})"
@@ -201,108 +193,61 @@ def _unbroadcast(grad, shape):
 # -- elementwise ops ---------------------------------------------------------
 
 
-def add(x, y):
-    x, y = _as_tensor(x), _as_tensor(y)
-    try:
-        data = x.data + y.data
-    except ValueError:
-        raise ValueError(f"add: shapes {x.shape} and {y.shape} not broadcastable")
-    _record_flops("elementwise", data.size)
+def _binary(name, fn, grads):
+    """An elementwise op of two broadcastable tensors; `grads(g, x, y)` gives
+    the gradients of both inputs at the broadcast shape."""
 
-    def bwd(g):
-        return _unbroadcast(g, x.shape), _unbroadcast(g, y.shape)
+    def op(x, y):
+        x, y = _as_tensor(x), _as_tensor(y)
+        try:
+            data = fn(x.data, y.data)
+        except ValueError:
+            raise ValueError(f"{name}: shapes {x.shape} and {y.shape} not broadcastable")
+        _record_flops("elementwise", data.size)
 
-    return _make_node(data, (x, y), bwd)
+        def bwd(g):
+            gx, gy = grads(g, x.data, y.data)
+            return _unbroadcast(gx, x.shape), _unbroadcast(gy, y.shape)
 
+        return _make_node(data, (x, y), bwd)
 
-def sub(x, y):
-    x, y = _as_tensor(x), _as_tensor(y)
-    try:
-        data = x.data - y.data
-    except ValueError:
-        raise ValueError(f"sub: shapes {x.shape} and {y.shape} not broadcastable")
-    _record_flops("elementwise", data.size)
-
-    def bwd(g):
-        return _unbroadcast(g, x.shape), _unbroadcast(-g, y.shape)
-
-    return _make_node(data, (x, y), bwd)
+    op.__name__ = op.__qualname__ = name
+    return op
 
 
-def mul(x, y):
-    x, y = _as_tensor(x), _as_tensor(y)
-    try:
-        data = x.data * y.data
-    except ValueError:
-        raise ValueError(f"mul: shapes {x.shape} and {y.shape} not broadcastable")
-    _record_flops("elementwise", data.size)
-
-    def bwd(g):
-        return _unbroadcast(g * y.data, x.shape), _unbroadcast(g * x.data, y.shape)
-
-    return _make_node(data, (x, y), bwd)
+add = _binary("add", operator.add, lambda g, x, y: (g, g))
+sub = _binary("sub", operator.sub, lambda g, x, y: (g, -g))
+mul = _binary("mul", operator.mul, lambda g, x, y: (g * y, g * x))
+div = _binary("div", operator.truediv,
+              lambda g, x, y: (g / y, -g * x / (y * y)))
 
 
-def div(x, y):
-    x, y = _as_tensor(x), _as_tensor(y)
-    try:
-        data = x.data / y.data
-    except ValueError:
-        raise ValueError(f"div: shapes {x.shape} and {y.shape} not broadcastable")
-    _record_flops("elementwise", data.size)
+def _unary(name, fn, grad):
+    """An elementwise op of one tensor; `grad(g, x, out)` gives its gradient."""
 
-    def bwd(g):
-        gx = _unbroadcast(g / y.data, x.shape)
-        gy = _unbroadcast(-g * x.data / (y.data * y.data), y.shape)
-        return gx, gy
+    def op(x):
+        data = fn(x.data)
+        _record_flops("elementwise", data.size)
+        return _make_node(data, (x,), lambda g: (grad(g, x.data, data),))
 
-    return _make_node(data, (x, y), bwd)
+    op.__name__ = op.__qualname__ = name
+    return op
 
 
-def relu(x):
-    data = np.maximum(x.data, 0)
-    _record_flops("elementwise", data.size)
-
-    def bwd(g):
-        return (g * (x.data > 0),)
-
-    return _make_node(data, (x,), bwd)
-
-
-def sigmoid(x):
+def _sigmoid(d):
     # split by sign to stay overflow-free in float32
-    d = x.data
     out = np.empty_like(d)
     pos = d >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
     ex = np.exp(d[~pos])
     out[~pos] = ex / (1.0 + ex)
-    _record_flops("elementwise", out.size)
-
-    def bwd(g):
-        return (g * out * (1.0 - out),)
-
-    return _make_node(out, (x,), bwd)
+    return out
 
 
-def exp(x):
-    data = np.exp(x.data)
-    _record_flops("elementwise", data.size)
-
-    def bwd(g):
-        return (g * data,)
-
-    return _make_node(data, (x,), bwd)
-
-
-def log(x):
-    data = np.log(x.data)
-    _record_flops("elementwise", data.size)
-
-    def bwd(g):
-        return (g / x.data,)
-
-    return _make_node(data, (x,), bwd)
+relu = _unary("relu", lambda x: np.maximum(x, 0), lambda g, x, out: g * (x > 0))
+sigmoid = _unary("sigmoid", _sigmoid, lambda g, x, out: g * out * (1.0 - out))
+exp = _unary("exp", np.exp, lambda g, x, out: g * out)
+log = _unary("log", np.log, lambda g, x, out: g / x)
 
 
 # -- reductions --------------------------------------------------------------
@@ -416,7 +361,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
     out = np.ascontiguousarray(out)
     if bias is not None:
         out += bias.data[None, :, None, None]
-    _record_flops("conv", 2 * cout * cin * kh * kw * oh * ow)
+    _record_flops("conv", 2 * n * cout * cin * kh * kw * oh * ow)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -531,16 +476,13 @@ def bilinear_resize(x, out_h, out_w, align_corners=True):
         raise ValueError(f"bilinear_resize expects a 4-D tensor, got shape {x.shape}")
     h, w = x.shape[2], x.shape[3]
     if (out_h, out_w) == (h, w):
-        def bwd_id(g):
-            return (g,)
-        return _make_node(x.data.copy(), (x,), bwd_id)
-    mh = _resize_matrix(h, out_h, align_corners, x.dtype)
-    mw = _resize_matrix(w, out_w, align_corners, x.dtype)
-    tmp = x.data @ mw.T
-    out = np.swapaxes(np.swapaxes(tmp, -1, -2) @ mh.T, -1, -2)
+        return _make_node(x.data.copy(), (x,), lambda g: (g,))
+    out = resize_bilinear_np(x.data, out_h, out_w, align_corners)
     _record_flops("resize", out.size)
 
     def bwd(g):
+        mh = _resize_matrix(h, out_h, align_corners, x.dtype)
+        mw = _resize_matrix(w, out_w, align_corners, x.dtype)
         t = np.swapaxes(np.swapaxes(g, -1, -2) @ mh, -1, -2)
         return (np.ascontiguousarray(t @ mw),)
 
@@ -629,10 +571,6 @@ class Adam:
             vhat = self.v[i] / bc2
             p.data -= (self.lr * mhat / (np.sqrt(vhat) + self.eps)).astype(
                 p.dtype, copy=False)
-            p.grad = None
-
-    def zero_grad(self):
-        for p in self.params:
             p.grad = None
 
     def state_tensors(self):

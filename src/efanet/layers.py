@@ -1,8 +1,9 @@
 """Layer building blocks on top of the autodiff engine.
 
 A tiny Module system: assigning a Tensor attribute registers a parameter,
-assigning a Module registers a child.  Parameter initialization is driven by
-a numpy Generator so whole models are reproducible from one seed.
+assigning a Module registers a child.  Subclasses define ``forward``; calling
+a module enters its FLOP scope and runs it.  Parameter initialization is
+driven by a numpy Generator so whole models are reproducible from one seed.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ class Module:
         object.__setattr__(self, "_children", {})
         object.__setattr__(self, "_buffers", {})
         object.__setattr__(self, "training", True)
+        object.__setattr__(self, "scope", None)
 
     def __setattr__(self, name, value):
         if isinstance(value, Tensor):
@@ -28,6 +30,10 @@ class Module:
         elif isinstance(value, Module):
             self._children[name] = value
         object.__setattr__(self, name, value)
+
+    def __call__(self, *args):
+        with engine.scoped(self.scope):
+            return self.forward(*args)
 
     def register_buffer(self, name, array):
         self._buffers[name] = array
@@ -65,59 +71,57 @@ class Module:
 
     def annotate_scopes(self, prefix=""):
         """Assign dotted path names used by the FLOP recorder."""
-        object.__setattr__(self, "_scope", prefix.rstrip(".") or "top")
+        object.__setattr__(self, "scope", prefix.rstrip(".") or "top")
         for cname, child in self._children.items():
             child.annotate_scopes(prefix + cname + ".")
 
-    @property
-    def scope(self):
-        return getattr(self, "_scope", None)
+
+class NamedList(Module):
+    """Children registered under the given names, in order; iterates over and
+    indexes (from 0) the children like a list."""
+
+    def __init__(self, pairs):
+        super().__init__()
+        for name, module in pairs:
+            setattr(self, name, module)
+
+    def __iter__(self):
+        return iter(self._children.values())
+
+    def __getitem__(self, i):
+        return list(self._children.values())[i]
 
 
 class Conv2d(Module):
     """Convolution layer; weights use fan-in-scaled uniform init, zero bias."""
 
     def __init__(self, cin, cout, k, rng, stride=1, padding=0, dilation=1,
-                 bias=True, dtype=np.float64):
+                 dtype=np.float64):
         super().__init__()
-        self.cin = cin
-        self.cout = cout
-        self.k = k
         self.stride = stride
         self.padding = padding
         self.dilation = dilation
         bound = float(np.sqrt(1.0 / (cin * k * k)))
         w = rng.uniform(-bound, bound, size=(cout, cin, k, k)).astype(dtype)
         self.weight = Tensor(w, requires_grad=True)
-        self.has_bias = bias
-        if bias:
-            self.bias = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
+        self.bias = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
 
-    def __call__(self, x):
-        with engine.scoped(self.scope):
-            return engine.conv2d(x, self.weight,
-                                 self.bias if self.has_bias else None,
-                                 stride=self.stride, padding=self.padding,
-                                 dilation=self.dilation)
+    def forward(self, x):
+        return engine.conv2d(x, self.weight, self.bias, stride=self.stride,
+                             padding=self.padding, dilation=self.dilation)
 
 
 class BatchNorm2d(Module):
-    def __init__(self, c, dtype=np.float64, eps=1e-5, momentum=0.1):
+    def __init__(self, c, dtype=np.float64):
         super().__init__()
-        self.c = c
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = Tensor(np.ones(c, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(c, dtype=dtype), requires_grad=True)
         self.register_buffer("running_mean", np.zeros(c, dtype=np.float64))
         self.register_buffer("running_var", np.ones(c, dtype=np.float64))
 
-    def __call__(self, x):
-        with engine.scoped(self.scope):
-            return engine.batch_norm(x, self.gamma, self.beta,
-                                     self.running_mean, self.running_var,
-                                     training=self.training,
-                                     momentum=self.momentum, eps=self.eps)
+    def forward(self, x):
+        return engine.batch_norm(x, self.gamma, self.beta, self.running_mean,
+                                 self.running_var, training=self.training)
 
 
 class ConvBNReLU(Module):
@@ -132,9 +136,8 @@ class ConvBNReLU(Module):
                            dilation=dilation, dtype=dtype)
         self.bn = BatchNorm2d(cout, dtype=dtype)
 
-    def __call__(self, x):
-        with engine.scoped(self.scope):
-            return engine.relu(self.bn(self.conv(x)))
+    def forward(self, x):
+        return engine.relu(self.bn(self.conv(x)))
 
 
 class ResidualBlock(Module):
@@ -146,7 +149,6 @@ class ResidualBlock(Module):
         self.conv2 = Conv2d(c, c, 3, rng, padding=1, dtype=dtype)
         self.bn2 = BatchNorm2d(c, dtype=dtype)
 
-    def __call__(self, x):
-        with engine.scoped(self.scope):
-            y = self.bn2(self.conv2(self.block1(x)))
-            return engine.relu(y + x)
+    def forward(self, x):
+        y = self.bn2(self.conv2(self.block1(x)))
+        return engine.relu(y + x)

@@ -14,7 +14,7 @@ from . import engine
 from .backbone import Backbone, BackboneConfig
 from .engine import (Tensor, bilinear_resize, concat_channels,
                      global_avg_pool, relu, sigmoid)
-from .layers import Conv2d, ConvBNReLU, Module
+from .layers import Conv2d, ConvBNReLU, Module, NamedList
 
 
 @dataclass
@@ -27,10 +27,10 @@ class ModelConfig:
 
     def __post_init__(self):
         self.dilation_rates = tuple(int(r) for r in self.dilation_rates)
-        if (2 * self.common_width) % self.cfm_reduction:
-            raise ValueError(
-                f"cfm_reduction={self.cfm_reduction} must divide "
-                f"2*common_width={2 * self.common_width}")
+        w, t = self.common_width, self.cfm_reduction
+        if w < 1 or t < 1 or (2 * w) % t:
+            raise ValueError(f"common_width={w} and cfm_reduction={t} must be "
+                             "positive, and cfm_reduction must divide 2*common_width")
 
 
 @dataclass
@@ -64,11 +64,7 @@ class EdgeGuidance(Module):
         self.fuse_edge = ConvBNReLU(2 * width, width, 3, rng, dtype=dtype)
         self.edge_out = Conv2d(width, 1, 1, rng, dtype=dtype)
 
-    def __call__(self, f1, f2, f5, out_h, out_w):
-        with engine.scoped(self.scope):
-            return self._forward(f1, f2, f5, out_h, out_w)
-
-    def _forward(self, f1, f2, f5, out_h, out_w):
+    def forward(self, f1, f2, f5, out_h, out_w):
         h, w = f1.shape[2], f1.shape[3]
         f2r = bilinear_resize(self.reduce2(f2), h, w)
         f5r = bilinear_resize(self.reduce5(f5), h, w)
@@ -85,29 +81,19 @@ class ScaleAwareConv(Module):
         super().__init__()
         self.pre_a = Conv2d(cin, width, 1, rng, dtype=dtype)
         self.pre_b = Conv2d(cin, width, 1, rng, dtype=dtype)
-        self.branches = _Branches()
-        for i, r in enumerate(rates):
-            setattr(self.branches, f"rate{r}",
-                    ConvBNReLU(width, width, 3, rng, dilation=r, dtype=dtype))
-        self.rates = tuple(rates)
+        self.branches = NamedList(
+            (f"rate{r}", ConvBNReLU(width, width, 3, rng, dilation=r, dtype=dtype))
+            for r in rates)
         self.fuse_cat = ConvBNReLU(len(rates) * width, width, 3, rng, dtype=dtype)
         self.fuse_res = ConvBNReLU(width, width, 3, rng, dtype=dtype)
         self.out = ConvBNReLU(width, width, 3, rng, dtype=dtype)
 
-    def __call__(self, x):
-        with engine.scoped(self.scope):
-            return self._forward(x)
-
-    def _forward(self, x):
+    def forward(self, x):
         a = self.pre_a(x)
         b = self.pre_b(x)
-        scaled = [getattr(self.branches, f"rate{r}")(a) for r in self.rates]
+        scaled = [branch(a) for branch in self.branches]
         merged = self.fuse_cat(concat_channels(scaled)) + self.fuse_res(b)
         return self.out(merged)
-
-
-class _Branches(Module):
-    pass
 
 
 class CrossLevelFusion(Module):
@@ -127,11 +113,7 @@ class CrossLevelFusion(Module):
         self.global_pwc2 = Conv2d(mid, c, 1, rng, dtype=dtype)
         self.out = ConvBNReLU(3 * c, width, 3, rng, dtype=dtype)
 
-    def __call__(self, fa, fb):
-        with engine.scoped(self.scope):
-            return self._forward(fa, fb)
-
-    def _forward(self, fa, fb):
+    def forward(self, fa, fb):
         if fa.shape[2:] != fb.shape[2:]:
             raise ValueError(
                 f"cross-level fusion needs matching spatial sizes, got "
@@ -156,9 +138,8 @@ class SideHead(Module):
         self.block2 = ConvBNReLU(width, width, 3, rng, dtype=dtype)
         self.out = Conv2d(width, 1, 1, rng, dtype=dtype)
 
-    def __call__(self, x):
-        with engine.scoped(self.scope):
-            return self.out(self.block2(self.block1(x)))
+    def forward(self, x):
+        return self.out(self.block2(self.block1(x)))
 
 
 class EFANet(Module):
@@ -170,56 +151,46 @@ class EFANet(Module):
         chans = config.backbone.channels_per_level
         self.backbone = Backbone(config.backbone, rng, dtype)
         self.egm = EdgeGuidance(chans[0], chans[1], chans[4], k, rng, dtype)
-        self.scms = _Stack()
-        for i in range(5):
-            setattr(self.scms, f"scm{i + 1}",
-                    ScaleAwareConv(chans[i], k, config.dilation_rates, rng, dtype))
-        self.cfms = _Stack()
-        for i in range(4):
-            setattr(self.cfms, f"cfm{i + 1}",
-                    CrossLevelFusion(k, config.cfm_reduction, rng, dtype))
+        self.scms = NamedList(
+            (f"scm{i + 1}",
+             ScaleAwareConv(chans[i], k, config.dilation_rates, rng, dtype))
+            for i in range(5))
+        self.cfms = NamedList(
+            (f"cfm{i + 1}", CrossLevelFusion(k, config.cfm_reduction, rng, dtype))
+            for i in range(4))
         self.edge_attn = Conv2d(k, 1, 1, rng, dtype=dtype)
-        self.heads = _Stack()
-        for i in range(4):
-            setattr(self.heads, f"head{i + 1}", SideHead(k, rng, dtype))
+        self.heads = NamedList((f"head{i + 1}", SideHead(k, rng, dtype))
+                               for i in range(4))
         self.annotate_scopes()
 
     def edge_weight(self, fcfm, fe):
         """Residual edge attention: fcfm * sigma(attn(fe)) + fcfm."""
+        a = sigmoid(self.edge_attn(fe))
+        a = bilinear_resize(a, fcfm.shape[2], fcfm.shape[3])
+        return fcfm * a + fcfm
+
+    def forward(self, image):
+        # ops of the model's own code are booked to "decoder"
         with engine.scoped("decoder"):
-            a = sigmoid(self.edge_attn(fe))
-            a = bilinear_resize(a, fcfm.shape[2], fcfm.shape[3])
-            return fcfm * a + fcfm
+            n, c, h, w = image.shape
+            pyramid = self.backbone(image)
+            scaled = [scm(pyramid[i]) for i, scm in enumerate(self.scms, 1)]
+            fe, se = self.egm(pyramid[1], pyramid[2], pyramid[5], h, w)
 
-    def __call__(self, image):
-        with engine.scoped("decoder"):
-            return self._forward(image)
+            # top-down cascade: D5 = T5, D_i = CFM_i(Up(D_{i+1}), T_i)
+            d = scaled[4]
+            decoded = [None] * 4
+            for i in range(4, 0, -1):
+                t = scaled[i - 1]
+                up = bilinear_resize(d, t.shape[2], t.shape[3])
+                d = self.cfms[i - 1](up, t)
+                decoded[i - 1] = d
 
-    def _forward(self, image):
-        n, c, h, w = image.shape
-        pyramid = self.backbone(image)
-        scaled = [getattr(self.scms, f"scm{i}")(pyramid[i]) for i in range(1, 6)]
-        fe, se = self.egm(pyramid[1], pyramid[2], pyramid[5], h, w)
-
-        # top-down cascade: D5 = T5, D_i = CFM_i(Up(D_{i+1}), T_i)
-        d = scaled[4]
-        decoded = [None] * 4
-        for i in range(4, 0, -1):
-            t = scaled[i - 1]
-            up = bilinear_resize(d, t.shape[2], t.shape[3])
-            d = getattr(self.cfms, f"cfm{i}")(up, t)
-            decoded[i - 1] = d
-
-        side = []
-        for i in range(4):
-            weighted = self.edge_weight(decoded[i], fe)
-            logits = getattr(self.heads, f"head{i + 1}")(weighted)
-            side.append(bilinear_resize(logits, h, w))
-        return ModelOutput(side_logits=side, edge_logits=se, edge_feature=fe)
-
-
-class _Stack(Module):
-    pass
+            side = []
+            for head, d in zip(self.heads, decoded):
+                logits = head(self.edge_weight(d, fe))
+                side.append(bilinear_resize(logits, h, w))
+            return ModelOutput(side_logits=side, edge_logits=se, edge_feature=fe)
 
 
 # -- losses ------------------------------------------------------------------

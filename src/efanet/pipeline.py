@@ -4,7 +4,7 @@ bucketing used for evaluation, and a synthetic blob dataset generator."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -87,7 +87,7 @@ def polyp_scale_ratio(mask):
 # -- geometric transforms ----------------------------------------------------
 
 
-def _resize_image(img, oh, ow):
+def resize_image(img, oh, ow):
     return np.clip(resize_bilinear_np(img, oh, ow, align_corners=False), 0.0, 1.0)
 
 
@@ -135,7 +135,7 @@ def crop_sample(sample, fraction, top, left, radius=1):
         return sample
     img = sample.image[..., top:top + ch, left:left + cw]
     msk = sample.mask[..., top:top + ch, left:left + cw]
-    return _rebuild(sample, _resize_image(img, h, w),
+    return _rebuild(sample, resize_image(img, h, w),
                     _resize_mask_nearest(msk, h, w), radius)
 
 
@@ -175,7 +175,7 @@ def rescale(sample, size=None, ratio=None, radius=1):
         raise ValueError(f"rescale: bad target size {size}")
     if (size, size) == (h, w):
         return sample
-    return _rebuild(sample, _resize_image(sample.image, size, size),
+    return _rebuild(sample, resize_image(sample.image, size, size),
                     _resize_mask_nearest(sample.mask, size, size), radius)
 
 

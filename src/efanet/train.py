@@ -11,9 +11,8 @@ import numpy as np
 from . import dataio, metrics, pipeline
 from .checkpoint import save_checkpoint
 from .config import RunConfig
-from .engine import Adam, Tensor, no_grad, resize_bilinear_np
+from .engine import Adam, Tensor, no_grad
 from .model import EFANet, total_loss
-from .pipeline import AugConfig, SegSample
 
 
 class NumericFailure(RuntimeError):
@@ -41,7 +40,7 @@ def load_split(manifest_path, split, radius=1):
     return [pipeline.load_sample(r, radius) for r in wanted]
 
 
-def train(cfg: RunConfig, log_fn=None):
+def train(cfg: RunConfig):
     """Run the full training loop; returns the final checkpoint path.
 
     Per batch: pick one of the configured scale ratios, resize, augment,
@@ -106,8 +105,6 @@ def train(cfg: RunConfig, log_fn=None):
                         "\t".join(f"{v:.6f}" for v in seg_vals) +
                         f"\t{edge_val:.6f}\t{total_val:.6f}")
                 log.write(line + "\n")
-                if log_fn is not None:
-                    log_fn(step, epoch, total_val)
             opt.lr *= cfg.optim.lr_decay
             if (epoch + 1) % cfg.optim.checkpoint_interval == 0:
                 path = os.path.join(out_dir, f"epoch{epoch + 1:04d}.efac")
@@ -122,15 +119,13 @@ def train(cfg: RunConfig, log_fn=None):
 def predict_probability(model, image, target_size, dtype=np.float32):
     """Sigmoid of the finest side output, resized back to the input size."""
     c, h, w = image.shape
-    resized = np.clip(resize_bilinear_np(image, target_size, target_size,
-                                         align_corners=False), 0.0, 1.0)
+    resized = pipeline.resize_image(image, target_size, target_size)
     with no_grad():
         out = model(Tensor(resized[None].astype(dtype)))
         logits = out.side_logits[0].data[0, 0]
     prob = 1.0 / (1.0 + np.exp(-logits.astype(np.float64)))
     if (h, w) != prob.shape:
-        prob = np.clip(resize_bilinear_np(prob, h, w, align_corners=False),
-                       0.0, 1.0)
+        prob = pipeline.resize_image(prob, h, w)
     return prob
 
 

@@ -164,6 +164,11 @@ class TestScaling:
             if name.endswith(".conv") and "global_pwc" not in name:
                 assert b.layer_flops[name] == 4 * a.layer_flops[name], name
 
+    def test_every_layer_doubles_when_batch_doubles(self):
+        a = analyze_model(toy_config(), 64, batch=1)
+        b = analyze_model(toy_config(), 64, batch=2)
+        assert b.layer_flops == {k: 2 * v for k, v in a.layer_flops.items()}
+
 
 class TestReportRendering:
     def test_render_mentions_convention_and_total(self):

@@ -22,6 +22,9 @@ class TestConfig:
     def test_nonpositive_channels_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             BackboneConfig(channels_per_level=(8, 8, 0, 8, 8))
+        for kw in (dict(input_channels=0), dict(stem_channels=0)):
+            with pytest.raises(ValueError, match="positive"):
+                BackboneConfig(**kw)
 
 
 class TestStrideContract:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 
@@ -13,6 +14,13 @@ from efanet.config import (ConfigError, RunConfig, parse_config, save_config,
 from efanet.engine import Adam
 from efanet.model import EFANet, ModelConfig
 from efanet.train import NumericFailure
+from test_analyze import toy_config
+
+# SHA-256 of the checkpoint of toy_config()'s model at seed 0.  It pins the
+# parameter names and their order, the order of the init draws and the byte
+# format; it may change only together with checkpoint.VERSION.
+TOY_CHECKPOINT_SHA256 = \
+    "6429a54ed9ee1e6d2f87dc8ea199f59c261d696db22c7d2ac53943662a5b201a"
 
 
 def tiny_run_config(tmp_path, **train_kw):
@@ -77,6 +85,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="divisible"):
             parse_config("aug.target_size = 60\n")
 
+    @pytest.mark.parametrize("key", ["optim.checkpoint_interval",
+                                     "optim.batch_size"])
+    def test_nonpositive_optim_count_rejected(self, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"{key} = 0\n")
+
 
 class TestCheckpoint:
     def _model_cfg(self, tmp_path):
@@ -126,6 +140,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
+    def test_toy_checkpoint_bytes_pinned(self, tmp_path):
+        cfg = RunConfig()
+        cfg.model = toy_config()
+        path = tmp_path / "toy.efac"
+        save_checkpoint(path, EFANet(cfg.model, seed=0, dtype=np.float32), cfg)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            TOY_CHECKPOINT_SHA256
+
     def test_config_mismatch_reported(self, tmp_path):
         model, cfg = self._model_cfg(tmp_path)
         path = tmp_path / "c.efac"
@@ -134,6 +156,65 @@ class TestCheckpoint:
         other.model.common_width = 8
         with pytest.raises(CheckpointError, match="common_width"):
             load_checkpoint(path, expect_cfg=other)
+
+
+class TestCorruptCheckpoint:
+    """Whatever is wrong with a checkpoint's bytes, loading raises
+    CheckpointError."""
+
+    @pytest.fixture
+    def blob(self, tmp_path):
+        cfg = tiny_run_config(tmp_path)
+        path = tmp_path / "good.efac"
+        save_checkpoint(path, EFANet(cfg.model, seed=1, dtype=np.float32), cfg,
+                        step=5)
+        return path.read_bytes()
+
+    def _rejects(self, tmp_path, data, match=None):
+        path = tmp_path / "bad.efac"
+        path.write_bytes(data)
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
+    def test_every_prefix_of_header_and_first_record(self, tmp_path, blob):
+        (cfg_len,) = struct.unpack_from("<I", blob, 16)
+        pos = 20 + cfg_len + 4                   # past the tensor count
+        (name_len,) = struct.unpack_from("<I", blob, pos)
+        pos += 4 + name_len
+        (rank,) = struct.unpack_from("<I", blob, pos)
+        shape = struct.unpack_from("<%dI" % rank, blob, pos + 4)
+        end = pos + 4 + 4 * rank + 4 * int(np.prod(shape))
+        for n in range(end + 1):
+            self._rejects(tmp_path, blob[:n])
+
+    def test_sampled_prefixes(self, tmp_path, blob):
+        rng = np.random.default_rng(0)
+        for n in rng.choice(len(blob), size=200, replace=False):
+            self._rejects(tmp_path, blob[:n])
+
+    def test_flipped_config_byte(self, tmp_path, blob):
+        (cfg_len,) = struct.unpack_from("<I", blob, 16)
+        for i in range(20, 20 + cfg_len, 7):
+            bad = bytearray(blob)
+            bad[i] ^= 0x80
+            self._rejects(tmp_path, bytes(bad), match="UTF-8")
+
+    @pytest.mark.parametrize("old, new", [
+        (b"train.dtype = float32", b"train.dtype = float3x"),
+        (b"model.common_width = 4", b"model.common_width = 0"),
+        (b"model.cfm_reduction = 2", b"model.cfm_reduction = 0"),
+        (b"backbone.stem_channels = 2", b"backbone.stem_channels = x")])
+    def test_config_echo_that_does_not_parse(self, tmp_path, blob, old, new):
+        assert blob.count(old) == 1
+        self._rejects(tmp_path, blob.replace(old, new), match="config echo")
+
+    def test_extents_larger_than_payload(self, tmp_path, blob):
+        (cfg_len,) = struct.unpack_from("<I", blob, 16)
+        pos = 20 + cfg_len + 4
+        (name_len,) = struct.unpack_from("<I", blob, pos)
+        pos += 4 + name_len + 4                  # the first extent
+        bad = blob[:pos] + struct.pack("<I", 0xFFFFFFFF) + blob[pos + 4:]
+        self._rejects(tmp_path, bad, match="payload")
 
 
 class TestSynthCommand:
@@ -238,6 +319,22 @@ class TestExitCodes:
         junk.write_bytes(b"not a checkpoint at all")
         assert cli.main(["eval", "--checkpoint", str(junk),
                          "--manifest", dataset]) == 3
+
+    def test_truncated_checkpoint_is_3(self, tmp_path, dataset, capsys):
+        short = tmp_path / "short.efac"
+        short.write_bytes(b"EFAC\x01\x00")
+        assert cli.main(["eval", "--checkpoint", str(short),
+                         "--manifest", dataset]) == 3
+        err = capsys.readouterr().err
+        assert "checkpoint error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["optim.checkpoint_interval",
+                                     "optim.batch_size"])
+    def test_nonpositive_optim_count_is_2(self, tmp_path, capsys, key):
+        cfg_path = tmp_path / "z.cfg"
+        cfg_path.write_text(f"{key} = 0\n")
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        assert key in capsys.readouterr().err
 
     def test_bad_analyze_resolution_is_2(self, tmp_path):
         cfg_path = tmp_path / "a.cfg"

@@ -1,9 +1,14 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import efanet
 from efanet import model as M
 from efanet.backbone import BackboneConfig
 from efanet.engine import Adam, Tensor, backward
+from efanet.layers import Module
 from efanet.model import (EFANet, ModelConfig, ScaleAwareConv,
                           boundary_weights, edge_loss, seg_loss, total_loss)
 from gradcheck import max_rel_error, numerical_gradient
@@ -35,6 +40,24 @@ class TestArchitecture:
         assert out.edge_logits.shape == (1, 1, size, size)
         assert out.edge_feature.shape == (1, 8, size // 2, size // 2)
         assert len(out.side_logits) == 4
+
+    def test_modules_define_forward_not_call(self):
+        # Module.__call__ is the one place a module's FLOP scope is entered
+        classes = []
+        for info in pkgutil.iter_modules(efanet.__path__):
+            mod = importlib.import_module(f"efanet.{info.name}")
+            classes += [c for c in vars(mod).values() if isinstance(c, type)
+                        and issubclass(c, Module) and c is not Module
+                        and c.__module__ == mod.__name__]
+        assert len(classes) >= 10
+        for cls in classes:
+            assert "__call__" not in vars(cls), cls.__name__
+
+    @pytest.mark.parametrize("kw", [dict(common_width=0),
+                                    dict(cfm_reduction=0)])
+    def test_nonpositive_width_or_reduction_rejected(self, kw):
+        with pytest.raises(ValueError, match="positive"):
+            ModelConfig(**kw)
 
     def test_reduction_must_divide(self):
         with pytest.raises(ValueError, match="cfm_reduction"):
