@@ -77,27 +77,36 @@ def _read_record(r):
 
 
 def save_checkpoint(path, model: EFANet, cfg: RunConfig, step=0, optimizer=None):
+    """Write a checkpoint atomically: the bytes go to `<path>.tmp` in the same
+    directory, which replaces `path` only once it is complete."""
     echo = serialize_config(cfg).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<IQ", VERSION, step))
-        f.write(struct.pack("<I", len(echo)))
-        f.write(echo)
-        tensors = list(model.named_parameters())
-        buffers = list(model.named_buffers())
-        f.write(struct.pack("<I", len(tensors) + len(buffers)))
-        for name, p in tensors:
-            _write_record(f, name, p.data)
-        for name, b in buffers:
-            _write_record(f, name, b)
-        if optimizer is None:
-            f.write(struct.pack("<B", 0))
-        else:
-            state = optimizer.state_tensors()
-            f.write(struct.pack("<B", 1))
-            f.write(struct.pack("<I", len(state)))
-            for name in state:
-                _write_record(f, name, state[name])
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<IQ", VERSION, step))
+            f.write(struct.pack("<I", len(echo)))
+            f.write(echo)
+            tensors = list(model.named_parameters())
+            buffers = list(model.named_buffers())
+            f.write(struct.pack("<I", len(tensors) + len(buffers)))
+            for name, p in tensors:
+                _write_record(f, name, p.data)
+            for name, b in buffers:
+                _write_record(f, name, b)
+            if optimizer is None:
+                f.write(struct.pack("<B", 0))
+            else:
+                state = optimizer.state_tensors()
+                f.write(struct.pack("<B", 1))
+                f.write(struct.pack("<I", len(state)))
+                for name in state:
+                    _write_record(f, name, state[name])
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path, expect_cfg: RunConfig | None = None):

@@ -5,7 +5,16 @@ ranks are allowed for loss plumbing).  Every differentiable op builds a node
 holding references to its parents and a closure that maps the upstream
 gradient to per-parent gradients; ``backward`` replays the recorded graph in
 reverse topological order and accumulates gradients into the leaves that were
-created with ``requires_grad=True``.
+created with ``requires_grad=True``.  A graph can be backpropagated once:
+``backward`` frees each node's parents and closure as it consumes them, so
+the activations a closure holds are released during the pass, and a second
+pass through a consumed node raises ``ValueError``.
+
+``conv2d`` lowers each sample's padded input to (Cin*kh*kw, OH*OW) columns
+and multiplies by the (Cout, Cin*kh*kw) weight, which gives NCHW output with
+no transpose.  Its backward keeps no columns: it lowers the saved input again
+(recompute instead of memory) and gets the input gradient of a stride-1 conv
+as a correlation of the upstream gradient with the flipped kernel.
 """
 
 from __future__ import annotations
@@ -317,16 +326,67 @@ def _conv_out_size(n, k, stride, padding, dilation):
     return (n + 2 * padding - dilation * (k - 1) - 1) // stride + 1
 
 
+def _taps(kh, kw, oh, ow, stride, dilation):
+    """Per kernel tap (i, j): the row and column slices of a padded map that
+    the tap reads for every output position."""
+    for i in range(kh):
+        for j in range(kw):
+            yield i, j, (slice(i * dilation, i * dilation + stride * (oh - 1) + 1, stride),
+                         slice(j * dilation, j * dilation + stride * (ow - 1) + 1, stride))
+
+
+def _lower(xp, kh, kw, stride, dilation):
+    """Lower a padded NCHW array to cols of shape (N, C*kh*kw, OH*OW), rows
+    ordered (c, i, j) to match a (Cout, C, kh, kw) weight; returns
+    (cols, OH, OW).  A stride-1 1x1 kernel needs no copy."""
+    n, c, h, w = xp.shape
+    oh = _conv_out_size(h, kh, stride, 0, dilation)
+    ow = _conv_out_size(w, kw, stride, 0, dilation)
+    if kh == kw == 1 and stride == 1:
+        return xp.reshape(n, c, h * w), oh, ow
+    cols = np.empty((n, c, kh, kw, oh, ow), dtype=xp.dtype)
+    for i, j, (ys, xs) in _taps(kh, kw, oh, ow, stride, dilation):
+        cols[:, :, i, j] = xp[:, :, ys, xs]
+    return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
+
+
+def _pad(a, ph, pw):
+    """Zero-pad the two spatial axes of an NCHW array."""
+    if ph == pw == 0:
+        return a
+    n, c, h, w = a.shape
+    out = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=a.dtype)
+    out[:, :, ph:ph + h, pw:pw + w] = a
+    return out
+
+
 def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
     """2-D cross-correlation over NCHW input.
 
     weight: (Cout, Cin, kh, kw).  Output spatial size follows the usual
     floor((H + 2p - d*(k-1) - 1)/s) + 1 rule.
+
+    The forward lowers the padded input to per-sample cols (N, Cin*kh*kw,
+    OH*OW) and multiplies by the (Cout, Cin*kh*kw) weight, which gives NCHW
+    directly.  No cols are kept for backward: it lowers the input again for
+    the weight gradient.  The input gradient of a stride-1 conv with
+    padding <= d*(k-1) is itself a stride-1 correlation of the upstream
+    gradient, padded by d*(k-1) - padding, with the flipped kernel whose
+    Cin/Cout axes are swapped; any other conv scatters per-tap slices of
+    W^T @ g back onto the padded input.  Where both apply the correlation is
+    faster: the scatter's W^T @ g buffer holds Cin*kh*kw rows per output
+    pixel and is added back tap by tap, while the correlation's GEMM writes
+    only the Cin-row input gradient, which matters most for the wide
+    concat-fusion convs.
     """
     if x.data.ndim != 4:
         raise ValueError(f"conv2d: input must be 4-D (N,C,H,W), got shape {x.shape}")
     if weight.data.ndim != 4:
         raise ValueError(f"conv2d: weight must be 4-D (Cout,Cin,kh,kw), got shape {weight.shape}")
+    for name, value, least in (("stride", stride, 1), ("dilation", dilation, 1),
+                               ("padding", padding, 0)):
+        if value < least:
+            raise ValueError(f"conv2d: {name} must be >= {least}, got {value}")
     n, cin, h, w = x.shape
     cout, cin_w, kh, kw = weight.shape
     if cin != cin_w:
@@ -339,48 +399,32 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
         raise ValueError(
             f"conv2d: effective kernel ({eff_h}x{eff_w}) exceeds padded input "
             f"({h + 2 * padding}x{w + 2 * padding})")
-    oh = _conv_out_size(h, kh, stride, padding, dilation)
-    ow = _conv_out_size(w, kw, stride, padding, dilation)
 
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
-    sn, sc, sh, sw = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, cin, oh, ow, kh, kw),
-        strides=(sn, sc, stride * sh, stride * sw, dilation * sh, dilation * sw),
-        writeable=False,
-    )
-    # im2col: one GEMM instead of nested loops
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        n * oh * ow, cin * kh * kw)
     wmat = weight.data.reshape(cout, cin * kh * kw)
-    out = (cols @ wmat.T).reshape(n, oh, ow, cout).transpose(0, 3, 1, 2)
-    out = np.ascontiguousarray(out)
+    cols, oh, ow = _lower(_pad(x.data, padding, padding), kh, kw, stride, dilation)
+    out = np.matmul(wmat, cols).reshape(n, cout, oh, ow)
     if bias is not None:
         out += bias.data[None, :, None, None]
     _record_flops("conv", 2 * n * cout * cin * kh * kw * oh * ow)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
+    qh, qw = dilation * (kh - 1) - padding, dilation * (kw - 1) - padding
 
     def bwd(g):
-        gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * oh * ow, cout)
-        gw = (gmat.T @ cols).reshape(cout, cin, kh, kw)
-        gcols = (gmat @ wmat).reshape(n, oh, ow, cin, kh, kw)
-        gxp = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :,
-                    i * dilation:i * dilation + stride * oh:stride,
-                    j * dilation:j * dilation + stride * ow:stride] += \
-                    gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-        if padding:
-            gx = gxp[:, :, padding:-padding, padding:-padding]
+        gmat = g.reshape(n, cout, oh * ow)
+        cols, _, _ = _lower(_pad(x.data, padding, padding), kh, kw, stride, dilation)
+        gw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+        del cols
+        if stride == 1 and qh >= 0 and qw >= 0:
+            flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            gcols, _, _ = _lower(_pad(g, qh, qw), kh, kw, 1, dilation)
+            gx = np.matmul(flipped.reshape(cin, cout * kh * kw), gcols).reshape(x.shape)
         else:
-            gx = gxp
-        gx = np.ascontiguousarray(gx)
+            gcols = np.matmul(wmat.T, gmat).reshape(n, cin, kh, kw, oh, ow)
+            gxp = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
+            for i, j, (ys, xs) in _taps(kh, kw, oh, ow, stride, dilation):
+                gxp[:, :, ys, xs] += gcols[:, :, i, j]
+            gx = np.ascontiguousarray(gxp[:, :, padding:padding + h, padding:padding + w])
         if bias is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))
@@ -492,11 +536,22 @@ def bilinear_resize(x, out_h, out_w, align_corners=True):
 # -- backward pass -----------------------------------------------------------
 
 
+_CONSUMED = "backward: graph already consumed (a graph can be backpropagated once)"
+
+
+def _consumed(g):
+    """Backward closure left on a node after its graph was backpropagated."""
+    raise ValueError(_CONSUMED)
+
+
 def backward(loss):
     """Populate ``grad`` on every reachable requires_grad leaf of ``loss``.
 
     Gradients accumulate additively into existing ``grad`` buffers; callers
-    (or the optimizer) clear them between steps.
+    (or the optimizer) clear them between steps.  A graph can be
+    backpropagated once: each node drops its parents and backward closure
+    once they have run, so activations are freed as the pass goes, and a
+    second pass through any of its nodes raises ValueError.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -511,6 +566,8 @@ def backward(loss):
             continue
         if id(node) in visiting:
             continue
+        if node._backward_fn is _consumed:
+            raise ValueError(_CONSUMED)
         visiting.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -518,17 +575,20 @@ def backward(loss):
                 stack.append((p, False))
 
     flowing = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         g = flowing.pop(id(node), None)
-        if g is None:
-            continue
         if node._backward_fn is None:
-            if node.requires_grad:
+            if g is not None and node.requires_grad:
                 if node.grad is None:
                     node.grad = np.zeros_like(node.data)
                 node.grad += g
             continue
-        for parent, pg in zip(node._parents, node._backward_fn(g)):
+        parents, fn = node._parents, node._backward_fn
+        node._parents, node._backward_fn = (), _consumed
+        if g is None:
+            continue
+        for parent, pg in zip(parents, fn(g)):
             if not (parent.requires_grad or parent._backward_fn is not None):
                 continue
             acc = flowing.get(id(parent))

@@ -31,6 +31,10 @@ class ModelConfig:
         if w < 1 or t < 1 or (2 * w) % t:
             raise ValueError(f"common_width={w} and cfm_reduction={t} must be "
                              "positive, and cfm_reduction must divide 2*common_width")
+        rates = self.dilation_rates
+        if not rates or min(rates) < 1 or len(set(rates)) != len(rates):
+            raise ValueError("model.dilation_rates must hold one or more distinct "
+                             f"rates >= 1, got {rates}")
 
 
 @dataclass

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from efanet import cli, dataio
+from efanet import checkpoint, cli, dataio
 from efanet.backbone import BackboneConfig
 from efanet.checkpoint import (CheckpointError, load_checkpoint,
                                save_checkpoint)
@@ -91,6 +91,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             parse_config(f"{key} = 0\n")
 
+    @pytest.mark.parametrize("rates", ["", "0,4,8", "2,-1", "2,2"])
+    def test_bad_dilation_rates_rejected(self, rates):
+        with pytest.raises(ValueError, match="model.dilation_rates"):
+            parse_config(f"model.dilation_rates = {rates}\n")
+
 
 class TestCheckpoint:
     def _model_cfg(self, tmp_path):
@@ -147,6 +152,26 @@ class TestCheckpoint:
         save_checkpoint(path, EFANet(cfg.model, seed=0, dtype=np.float32), cfg)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \
             TOY_CHECKPOINT_SHA256
+
+    def test_failed_write_keeps_existing_checkpoint(self, tmp_path, monkeypatch):
+        model, cfg = self._model_cfg(tmp_path)
+        path = tmp_path / "m.efac"
+        save_checkpoint(path, model, cfg, step=1)
+        before = path.read_bytes()
+        write_record = checkpoint._write_record
+        written = []
+
+        def fail_midway(f, name, array):
+            if len(written) == 3:
+                raise OSError("disk full")
+            written.append(name)
+            write_record(f, name, array)
+
+        monkeypatch.setattr(checkpoint, "_write_record", fail_midway)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, model, cfg, step=2)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.efac"]
 
     def test_config_mismatch_reported(self, tmp_path):
         model, cfg = self._model_cfg(tmp_path)
@@ -335,6 +360,14 @@ class TestExitCodes:
         cfg_path.write_text(f"{key} = 0\n")
         assert cli.main(["train", "--config", str(cfg_path)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rates", ["", "0,4,8"])
+    def test_bad_dilation_rates_is_2(self, tmp_path, capsys, rates):
+        cfg_path = tmp_path / "d.cfg"
+        cfg_path.write_text(f"model.dilation_rates = {rates}\n")
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "model.dilation_rates" in err and "Traceback" not in err
 
     def test_bad_analyze_resolution_is_2(self, tmp_path):
         cfg_path = tmp_path / "a.cfg"

@@ -15,6 +15,44 @@ def rand(shape, seed=0, scale=1.0, grad=False):
     return Tensor(rng.normal(scale=scale, size=shape), requires_grad=grad)
 
 
+def conv_grid(test):
+    """Parametrise a conv test over stride x padding x dilation."""
+    test = pytest.mark.parametrize("dilation", [1, 2, 4, 8])(test)
+    test = pytest.mark.parametrize("padding", [0, 1, 2, 3, 4])(test)
+    return pytest.mark.parametrize("stride", [1, 2])(test)
+
+
+def conv_case(shape, k, stride, padding, dilation, seed):
+    """x, weight, bias and an output weighting for one conv geometry, or a
+    skip when the dilated kernel outgrows the padded input."""
+    n, cin, h, w = shape
+    if min(h, w) + 2 * padding < dilation * (k - 1) + 1:
+        pytest.skip("kernel larger than padded input")
+    oh = (h + 2 * padding - dilation * (k - 1) - 1) // stride + 1
+    ow = (w + 2 * padding - dilation * (k - 1) - 1) // stride + 1
+    return (rand(shape, seed, grad=True), rand((3, cin, k, k), seed + 1, grad=True),
+            rand((3,), seed + 2, grad=True), rand((n, 3, oh, ow), seed + 3).data)
+
+
+def tap_loop_conv2d(x, w, g, stride, padding, dilation):
+    """Reference conv by one einsum per kernel tap: the output, and the
+    gradients of sum(output * g) with respect to x and w."""
+    h, wd = x.shape[2:]
+    kh, kw = w.shape[2:]
+    oh, ow = g.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out, gw, gxp = np.zeros(g.shape), np.zeros(w.shape), np.zeros(xp.shape)
+    for i in range(kh):
+        for j in range(kw):
+            tap = (slice(None), slice(None),
+                   slice(i * dilation, i * dilation + stride * (oh - 1) + 1, stride),
+                   slice(j * dilation, j * dilation + stride * (ow - 1) + 1, stride))
+            out += np.einsum("ncyx,oc->noyx", xp[tap], w[:, :, i, j])
+            gw[:, :, i, j] = np.einsum("noyx,ncyx->oc", g, xp[tap])
+            gxp[tap] += np.einsum("noyx,oc->ncyx", g, w[:, :, i, j])
+    return out, gxp[:, :, padding:padding + h, padding:padding + wd], gw
+
+
 # ---------------------------------------------------------------- conv2d
 
 
@@ -53,9 +91,16 @@ class TestConv2d:
         with pytest.raises(ValueError, match="kernel"):
             conv2d(x, w, dilation=4)
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("padding", [0, 1, 2, 3, 4])
-    @pytest.mark.parametrize("dilation", [1, 2, 4, 8])
+    @pytest.mark.parametrize("name,value", [("stride", 0), ("stride", -1),
+                                            ("dilation", 0), ("dilation", -1),
+                                            ("padding", -1)])
+    def test_bad_geometry_rejected(self, name, value):
+        x = Tensor(np.zeros((1, 1, 5, 5)))
+        w = Tensor(np.zeros((1, 1, 3, 3)))
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            conv2d(x, w, **{"padding": 1, name: value})
+
+    @conv_grid
     def test_output_shape_formula(self, stride, padding, dilation):
         h, w, k = 21, 19, 3
         if h + 2 * padding < dilation * (k - 1) + 1:
@@ -67,15 +112,33 @@ class TestConv2d:
         ow = (w + 2 * padding - dilation * (k - 1) - 1) // stride + 1
         assert out.shape == (1, 3, oh, ow)
 
-    def test_gradients(self):
-        x = rand((2, 2, 6, 6), seed=3, grad=True)
-        w = rand((3, 2, 3, 3), seed=4, grad=True)
-        b = rand((3,), seed=5, grad=True)
+    # stride 2 and padding > dilation*(k-1) take the scatter gradient, the
+    # rest the correlation one; an 11-wide stride-2 input leaves remainders
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("k", [3, 1])
+    @conv_grid
+    def test_gradients(self, stride, padding, dilation, k, bias):
+        x, w, b, r = conv_case((2, 2, 12, 11), k, stride, padding, dilation, seed=3)
+        tensors = [x, w, b] if bias else [x, w]
 
-        def f(x, w, b):
-            return conv2d(x, w, b, stride=2, padding=1).sum()
+        def f(x, w, b=None):
+            out = conv2d(x, w, b, stride=stride, padding=padding, dilation=dilation)
+            return (out * r).sum()
 
-        check_gradients(f, [x, w, b])
+        check_gradients(f, tensors)
+
+    @pytest.mark.parametrize("k", [3, 1])
+    @conv_grid
+    def test_matches_tap_loop_reference(self, stride, padding, dilation, k):
+        x, w, b, r = conv_case((2, 3, 21, 19), k, stride, padding, dilation, seed=40)
+        out = conv2d(x, w, b, stride=stride, padding=padding, dilation=dilation)
+        backward((out * r).sum())
+        ref_out, ref_gx, ref_gw = tap_loop_conv2d(x.data, w.data, r, stride,
+                                                  padding, dilation)
+        ref_out += b.data[None, :, None, None]
+        for got, ref in ((out.data, ref_out), (x.grad, ref_gx), (w.grad, ref_gw),
+                         (b.grad, r.sum(axis=(0, 2, 3)))):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_dilated_gradients(self):
         x = rand((1, 2, 9, 9), seed=6, grad=True)
@@ -335,6 +398,20 @@ class TestBackward:
         backward(x.sum())
         backward(x.sum())
         np.testing.assert_array_equal(x.grad, 2 * np.ones(3))
+
+    def test_graph_backpropagated_once(self):
+        x = rand((3,), seed=37, grad=True)
+        h = x * x
+        loss = h.sum()
+        backward(loss)
+        assert loss._parents == () and h._parents == ()
+        with pytest.raises(ValueError, match="graph already consumed"):
+            backward(loss)
+        with pytest.raises(ValueError, match="graph already consumed"):
+            backward((h * x).sum())
+        np.testing.assert_allclose(x.grad, 2 * x.data)
+        backward((x * x).sum())
+        np.testing.assert_allclose(x.grad, 4 * x.data)
 
     def test_multiple_uses_accumulate(self):
         x = rand((3,), seed=31, grad=True)
