@@ -109,11 +109,9 @@ def save_checkpoint(path, model: EFANet, cfg: RunConfig, step=0, optimizer=None)
         raise
 
 
-def load_checkpoint(path, expect_cfg: RunConfig | None = None):
+def load_checkpoint(path):
     """Load a checkpoint, rebuilding the model from the embedded config.
 
-    If `expect_cfg` is given, its model section must match the stored one;
-    mismatching fields are reported in the error.
     Returns (model, cfg, step, optimizer_state or None).
     """
     with open(path, "rb") as f:
@@ -131,8 +129,6 @@ def load_checkpoint(path, expect_cfg: RunConfig | None = None):
             dtype = cfg.np_dtype()
         except ValueError as exc:
             raise CheckpointError(f"{path}: bad config echo: {exc}") from None
-        if expect_cfg is not None:
-            _check_config_match(expect_cfg, cfg, path)
         model = EFANet(cfg.model, seed=cfg.train.seed, dtype=dtype)
         (n_tensors,) = r.unpack("<I", "tensor count")
         stored = dict(_read_record(r) for _ in range(n_tensors))
@@ -164,17 +160,3 @@ def load_checkpoint(path, expect_cfg: RunConfig | None = None):
         b[...] = stored[name]
     return model, cfg, step, opt_state
 
-
-def _check_config_match(expect: RunConfig, got: RunConfig, path):
-    exp = {}
-    act = {}
-    for tag, cfg, out in (("expected", expect, exp), ("stored", got, act)):
-        for line in serialize_config(cfg).splitlines():
-            key, _, value = line.partition(" = ")
-            if key.startswith(("model.", "backbone.")):
-                out[key] = value
-    diffs = [f"{k}: expected {exp[k]}, checkpoint has {act[k]}"
-             for k in sorted(exp) if exp[k] != act[k]]
-    if diffs:
-        raise CheckpointError(f"{path}: model config mismatch:\n  " +
-                              "\n  ".join(diffs))

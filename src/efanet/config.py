@@ -31,7 +31,7 @@ class OptimConfig:
     checkpoint_interval: int = 10  # epochs
 
     def __post_init__(self):
-        for key in ("batch_size", "checkpoint_interval"):
+        for key in ("epochs", "batch_size", "max_steps", "checkpoint_interval"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"optim.{key} must be >= 1, "
                                   f"got {getattr(self, key)}")
@@ -49,6 +49,11 @@ class TrainConfig:
 @dataclass
 class EvalConfig:
     threshold: float = 0.5
+
+    def __post_init__(self):
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ConfigError(f"eval.threshold must be in [0,1], "
+                              f"got {self.threshold}")
 
 
 @dataclass
@@ -149,10 +154,10 @@ def parse_config(text, base=None) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"line {ln}: bad value for {key!r}: {exc}")
     # revalidate dataclass invariants after mutation
-    cfg.model.backbone.__post_init__()
-    cfg.model.__post_init__()
-    cfg.aug.__post_init__()
-    cfg.optim.__post_init__()
+    for get in _SECTIONS.values():
+        obj = get(cfg)
+        if hasattr(obj, "__post_init__"):
+            obj.__post_init__()
     return cfg
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
@@ -81,10 +82,6 @@ def read_mask(path, threshold=0.5):
     return (arr >= threshold * peak).astype(np.float64)
 
 
-def write_mask(path, mask):
-    write_pgm(path, np.asarray(mask, dtype=np.float64))
-
-
 def write_tensor(path, array):
     """Raw little-endian float32 tensor file with an EFAT header."""
     arr = np.asarray(array, dtype="<f4")
@@ -96,17 +93,25 @@ def write_tensor(path, array):
 
 
 def read_tensor(path):
+    """Read an EFAT tensor file; each length read from the file is checked
+    against the bytes left before it is used."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != TENSOR_MAGIC:
-            raise DataFormatError(f"{path}: bad magic {magic!r}")
-        version, rank = struct.unpack("<II", f.read(8))
-        if version != TENSOR_VERSION:
-            raise DataFormatError(f"{path}: unsupported tensor version {version}")
-        shape = struct.unpack("<%dI" % rank, f.read(4 * rank))
-        data = np.frombuffer(f.read(), dtype="<f4")
-    if data.size != int(np.prod(shape)):
+        raw = f.read()
+    magic = raw[:4]
+    if magic != TENSOR_MAGIC:
+        raise DataFormatError(f"{path}: bad magic {magic!r}")
+    if len(raw) < 12:
+        raise DataFormatError(f"{path}: truncated tensor header")
+    version, rank = struct.unpack_from("<II", raw, 4)
+    if version != TENSOR_VERSION:
+        raise DataFormatError(f"{path}: unsupported tensor version {version}")
+    offset = 12 + 4 * rank
+    if offset > len(raw):
+        raise DataFormatError(f"{path}: truncated tensor shape (rank {rank})")
+    shape = struct.unpack_from("<%dI" % rank, raw, 12)
+    if len(raw) - offset != 4 * math.prod(shape):
         raise DataFormatError(f"{path}: payload size mismatch")
+    data = np.frombuffer(raw, dtype="<f4", offset=offset)
     return data.reshape(shape).copy()
 
 
@@ -124,7 +129,7 @@ def write_manifest(path, records):
             f.write("\t".join(str(x) for x in rec) + "\n")
 
 
-def read_manifest(path, check_files=True):
+def read_manifest(path):
     records = []
     base = os.path.dirname(os.path.abspath(path))
     with open(path, "r", encoding="utf-8") as f:
@@ -141,10 +146,9 @@ def read_manifest(path, check_files=True):
                 img = os.path.join(base, img)
             if not os.path.isabs(mask):
                 mask = os.path.join(base, mask)
-            if check_files:
-                for p in (img, mask):
-                    if not os.path.isfile(p):
-                        raise ManifestError(f"{path}:{ln}: missing file {p}")
+            for p in (img, mask):
+                if not os.path.isfile(p):
+                    raise ManifestError(f"{path}:{ln}: missing file {p}")
             records.append((sid, img, mask, split))
     seen = {}
     for sid, _, _, split in records:

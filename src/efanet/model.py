@@ -122,9 +122,10 @@ class CrossLevelFusion(Module):
             raise ValueError(
                 f"cross-level fusion needs matching spatial sizes, got "
                 f"{fa.shape} vs {fb.shape}")
-        cat1 = self.branch1(concat_channels([fa, fb]))
-        cat2 = self.branch2(concat_channels([fa, fb]))
-        cat3 = self.branch3(concat_channels([fa, fb]))
+        cat = concat_channels([fa, fb])
+        cat1 = self.branch1(cat)
+        cat2 = self.branch2(cat)
+        cat3 = self.branch3(cat)
         w_local = sigmoid(self.local_pwc2(relu(self.local_pwc1(cat1))))
         w_global = sigmoid(self.global_pwc2(relu(self.global_pwc1(
             global_avg_pool(cat2)))))

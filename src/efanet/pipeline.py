@@ -45,6 +45,9 @@ class AugConfig:
             raise ValueError("scale ratios must be positive")
         if self.target_size % 32:
             raise ValueError("target_size must be divisible by 32")
+        if self.edge_dilation_radius < 0:
+            raise ValueError(f"aug.edge_dilation_radius must be >= 0, "
+                             f"got {self.edge_dilation_radius}")
 
 
 def sobel_edge_gt(mask, dilation_radius=1):
@@ -104,73 +107,46 @@ def _rebuild(sample, image, mask, radius):
                      edge=sobel_edge_gt(mask, radius), id=sample.id)
 
 
-def flip_sample(sample, axis, radius=1):
-    """axis: 'h' flips left-right, 'v' flips top-bottom."""
-    ax = -1 if axis == "h" else -2
-    return _rebuild(sample, np.flip(sample.image, axis=ax).copy(),
-                    np.flip(sample.mask, axis=ax).copy(), radius)
-
-
-def rotate_sample(sample, degrees, radius=1):
+def _rotate(arr, degrees, mode):
+    """Rotate the last two axes counterclockwise: exactly for multiples of
+    90 degrees, bilinearly otherwise, filling outside the frame per `mode`
+    (scipy.ndimage's; "constant" fills with 0)."""
     if degrees % 90 == 0:
-        k = (degrees // 90) % 4
-        img = np.rot90(sample.image, k, axes=(-2, -1)).copy()
-        msk = np.rot90(sample.mask, k, axes=(-2, -1)).copy()
-    else:
-        img = np.stack([ndimage.rotate(c, degrees, reshape=False, order=1,
-                                       mode="nearest") for c in sample.image])
-        img = np.clip(img, 0.0, 1.0)
-        msk = np.stack([ndimage.rotate(c, degrees, reshape=False, order=1,
-                                       mode="constant", cval=0.0)
-                        for c in sample.mask])
-    return _rebuild(sample, img, msk, radius)
-
-
-def crop_sample(sample, fraction, top, left, radius=1):
-    """Crop a `fraction`-sized window at (top,left) and resize back."""
-    h, w = sample.mask.shape[-2:]
-    ch = max(1, int(round(h * fraction)))
-    cw = max(1, int(round(w * fraction)))
-    if fraction >= 1.0:
-        return sample
-    img = sample.image[..., top:top + ch, left:left + cw]
-    msk = sample.mask[..., top:top + ch, left:left + cw]
-    return _rebuild(sample, resize_image(img, h, w),
-                    _resize_mask_nearest(msk, h, w), radius)
+        return np.rot90(arr, int(degrees // 90) % 4, axes=(-2, -1))
+    return np.stack([ndimage.rotate(c, degrees, reshape=False, order=1,
+                                    mode=mode) for c in arr])
 
 
 def augment(sample, rng, config: AugConfig):
     """Random flip, rotation and crop with identical geometry on image/mask;
-    the edge map is regenerated from the transformed mask."""
-    radius = config.edge_dilation_radius
-    if rng.random() < config.flip_prob:
-        sample = flip_sample(sample, "h", radius)
-    if rng.random() < config.flip_prob:
-        sample = flip_sample(sample, "v", radius)
+    the edge map is built once, from the transformed mask."""
+    image, mask = sample.image, sample.mask
+    for axis in (-1, -2):  # left-right, then top-bottom
+        if rng.random() < config.flip_prob:
+            image, mask = np.flip(image, axis), np.flip(mask, axis)
     if config.free_angle_rotation:
         deg = float(rng.uniform(0.0, 360.0))
     else:
         deg = float(rng.choice(np.asarray(config.rotation_degrees)))
     if deg:
-        sample = rotate_sample(sample, deg, radius)
+        image = np.clip(_rotate(image, deg, "nearest"), 0.0, 1.0)
+        mask = _rotate(mask, deg, "constant")
     frac = float(rng.uniform(config.crop_fraction_min, config.crop_fraction_max))
     if frac < 1.0:
-        h, w = sample.mask.shape[-2:]
+        h, w = mask.shape[-2:]
         ch = max(1, int(round(h * frac)))
         cw = max(1, int(round(w * frac)))
         top = int(rng.integers(0, h - ch + 1))
         left = int(rng.integers(0, w - cw + 1))
-        sample = crop_sample(sample, frac, top, left, radius)
-    return sample
+        image = resize_image(image[..., top:top + ch, left:left + cw], h, w)
+        mask = _resize_mask_nearest(mask[..., top:top + ch, left:left + cw],
+                                    h, w)
+    return _rebuild(sample, image, mask, config.edge_dilation_radius)
 
 
-def rescale(sample, size=None, ratio=None, radius=1):
+def rescale(sample, size, radius=1):
     """Resize to a square target: bilinear image, nearest-neighbor mask."""
     h, w = sample.mask.shape[-2:]
-    if size is None:
-        if ratio is None:
-            raise ValueError("rescale: give size or ratio")
-        size = int(round(h * ratio))
     if size < 1:
         raise ValueError(f"rescale: bad target size {size}")
     if (size, size) == (h, w):
@@ -201,7 +177,7 @@ def _render_blob(size, cy, cx, ry, rx, theta, wobble_amp, wobble_phase):
     return rho <= limit
 
 
-def synth_sample(rng, size, sample_id, radius=1):
+def synth_sample(rng, size, sample_id):
     """One textured background + 1..3 high-contrast elliptical blobs."""
     base = rng.uniform(0.15, 0.35)
     background = base + _smooth_noise(rng, size, max(4, size // 8), 0.06)
@@ -240,12 +216,11 @@ def synth_sample(rng, size, sample_id, radius=1):
     image = image + rng.normal(0.0, 0.02, size=(size, size))
     image = np.clip(image, 0.0, 1.0)[None]
     m = mask.astype(np.float64)[None]
-    return SegSample(image=image, mask=m, edge=sobel_edge_gt(m, radius),
+    return SegSample(image=image, mask=m, edge=sobel_edge_gt(m),
                      id=sample_id)
 
 
-def synth_blob_dataset(n, size, seed, out_dir, train_fraction=0.8,
-                       edge_dilation_radius=1):
+def synth_blob_dataset(n, size, seed, out_dir, train_fraction=0.8):
     """Generate n samples as PGM files plus a train/test manifest.
 
     Deterministic from the seed, byte for byte.
@@ -263,11 +238,11 @@ def synth_blob_dataset(n, size, seed, out_dir, train_fraction=0.8,
     records = []
     for i in range(n):
         sid = f"blob{i:04d}"
-        sample = synth_sample(rng, size, sid, edge_dilation_radius)
+        sample = synth_sample(rng, size, sid)
         img_name = f"{sid}.pgm"
         mask_name = f"{sid}_mask.pgm"
         dataio.write_pgm(os.path.join(out_dir, img_name), sample.image)
-        dataio.write_mask(os.path.join(out_dir, mask_name), sample.mask)
+        dataio.write_pgm(os.path.join(out_dir, mask_name), sample.mask)
         records.append((sid, img_name, mask_name, splits[i]))
     manifest_path = os.path.join(out_dir, "manifest.tsv")
     dataio.write_manifest(manifest_path, records)

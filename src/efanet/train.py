@@ -52,8 +52,10 @@ def train(cfg: RunConfig):
         raise ValueError("train: no dataset manifest configured")
     samples = load_split(cfg.train.manifest, "train",
                          cfg.aug.edge_dilation_radius)
-    if not samples:
-        raise ValueError(f"train: no 'train' records in {cfg.train.manifest}")
+    if len(samples) < cfg.optim.batch_size:
+        raise ValueError(f"train: {len(samples)} 'train' records in "
+                         f"{cfg.train.manifest}, fewer than optim.batch_size "
+                         f"= {cfg.optim.batch_size}")
     for s in samples:
         h, w = s.mask.shape[-2:]
         if h != w:

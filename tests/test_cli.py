@@ -86,10 +86,19 @@ class TestConfig:
             parse_config("aug.target_size = 60\n")
 
     @pytest.mark.parametrize("key", ["optim.checkpoint_interval",
-                                     "optim.batch_size"])
+                                     "optim.batch_size", "optim.epochs",
+                                     "optim.max_steps"])
     def test_nonpositive_optim_count_rejected(self, key):
         with pytest.raises(ConfigError, match=key):
             parse_config(f"{key} = 0\n")
+
+    @pytest.mark.parametrize("key, value", [("eval.threshold", "7"),
+                                            ("eval.threshold", "-0.5"),
+                                            ("eval.threshold", "nan"),
+                                            ("aug.edge_dilation_radius", "-3")])
+    def test_out_of_range_value_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            parse_config(f"{key} = {value}\n")
 
     @pytest.mark.parametrize("rates", ["", "0,4,8", "2,-1", "2,2"])
     def test_bad_dilation_rates_rejected(self, rates):
@@ -173,15 +182,6 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.efac"]
 
-    def test_config_mismatch_reported(self, tmp_path):
-        model, cfg = self._model_cfg(tmp_path)
-        path = tmp_path / "c.efac"
-        save_checkpoint(path, model, cfg, step=0)
-        other = tiny_run_config(tmp_path)
-        other.model.common_width = 8
-        with pytest.raises(CheckpointError, match="common_width"):
-            load_checkpoint(path, expect_cfg=other)
-
 
 class TestCorruptCheckpoint:
     """Whatever is wrong with a checkpoint's bytes, loading raises
@@ -240,6 +240,29 @@ class TestCorruptCheckpoint:
         pos += 4 + name_len + 4                  # the first extent
         bad = blob[:pos] + struct.pack("<I", 0xFFFFFFFF) + blob[pos + 4:]
         self._rejects(tmp_path, bad, match="payload")
+
+
+class TestCorruptTensorFile:
+    """Whatever is wrong with an EFAT tensor file's bytes, reading it returns
+    a tensor or raises DataFormatError."""
+
+    def test_every_prefix_and_bit_flip(self, tmp_path):
+        path = tmp_path / "t.eft"
+        dataio.write_tensor(path, np.arange(6.0).reshape(2, 3))
+        good = path.read_bytes()
+        assert len(good) == 44
+        for n in range(len(good)):
+            path.write_bytes(good[:n])
+            with pytest.raises(dataio.DataFormatError):
+                dataio.read_tensor(path)
+        for bit in range(8 * len(good)):
+            bad = bytearray(good)
+            bad[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(bad))
+            try:
+                dataio.read_tensor(path)
+            except dataio.DataFormatError:
+                pass
 
 
 class TestSynthCommand:
@@ -354,7 +377,8 @@ class TestExitCodes:
         assert "checkpoint error" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("key", ["optim.checkpoint_interval",
-                                     "optim.batch_size"])
+                                     "optim.batch_size", "optim.epochs",
+                                     "optim.max_steps"])
     def test_nonpositive_optim_count_is_2(self, tmp_path, capsys, key):
         cfg_path = tmp_path / "z.cfg"
         cfg_path.write_text(f"{key} = 0\n")
@@ -368,6 +392,15 @@ class TestExitCodes:
         assert cli.main(["train", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "model.dilation_rates" in err and "Traceback" not in err
+
+    def test_batch_larger_than_split_is_2(self, tmp_path, dataset, capsys):
+        cfg = tiny_run_config(tmp_path, manifest=dataset)
+        cfg.optim.batch_size = 6  # the dataset has 5 'train' records
+        cfg_path = tmp_path / "b.cfg"
+        save_config(cfg_path, cfg)
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        assert "optim.batch_size" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(cfg.train.out_dir, "final.efac"))
 
     def test_bad_analyze_resolution_is_2(self, tmp_path):
         cfg_path = tmp_path / "a.cfg"

@@ -1,11 +1,21 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from efanet import dataio, pipeline
-from efanet.pipeline import (AugConfig, SegSample, augment, crop_sample,
-                             flip_sample, polyp_scale_ratio, rescale,
-                             rotate_sample, sobel_edge_gt, synth_blob_dataset,
+from efanet.pipeline import (AugConfig, SegSample, augment, polyp_scale_ratio,
+                             rescale, sobel_edge_gt, synth_blob_dataset,
                              synth_sample)
+
+
+# SHA-256 of augment()'s image, mask and edge bytes over seeds 0-19 on 32x32
+# synthetic blobs, for the default and the free-angle config.  It pins the
+# order of the random draws and the result of each transform.
+AUGMENT_SHA256 = {
+    False: "e584ecc94c22a48a338bdde02c4058fa9ee97b090c8fc35867fee0206b864fe7",
+    True: "3231931bf122d3a336fe25ffd27427a9de77432c5c7f5b1c6aa19f8afc404ed1",
+}
 
 
 def square_sample(size=16, lo=4, hi=12, radius=1, seed=0):
@@ -72,19 +82,49 @@ class TestScaleBuckets:
         np.testing.assert_allclose(r, 0.1)
 
 
+def forced(**kw):
+    """An AugConfig that does only what `kw` turns on: no flips, no rotation
+    and no crop unless asked for."""
+    base = dict(flip_prob=0.0, rotation_degrees=(0,), crop_fraction_min=1.0,
+                crop_fraction_max=1.0)
+    return AugConfig(**{**base, **kw})
+
+
+def augmented(sample, config, seed=0):
+    """augment() with the invariants every output keeps: shapes, a binary
+    mask, an image in [0,1] and the edge map of the transformed mask."""
+    a = augment(sample, np.random.default_rng(seed), config)
+    assert a.image.shape == sample.image.shape
+    assert a.mask.shape == sample.mask.shape
+    assert set(np.unique(a.mask)) <= {0.0, 1.0}
+    assert a.image.min() >= 0.0 and a.image.max() <= 1.0
+    np.testing.assert_array_equal(a.edge, sobel_edge_gt(a.mask, 1))
+    return a
+
+
+def assert_same_sample(a, b):
+    np.testing.assert_array_equal(a.image, b.image)
+    np.testing.assert_array_equal(a.mask, b.mask)
+    np.testing.assert_array_equal(a.edge, b.edge)
+
+
 class TestGeometry:
+    def test_crop_full_fraction_is_identity(self):
+        s = square_sample(lo=2, hi=9)
+        assert_same_sample(augmented(s, forced()), s)
+
     def test_flip_is_involution(self):
         s = square_sample(lo=2, hi=9)
-        for axis in ("h", "v"):
-            back = flip_sample(flip_sample(s, axis), axis)
-            np.testing.assert_array_equal(back.image, s.image)
-            np.testing.assert_array_equal(back.mask, s.mask)
-            np.testing.assert_array_equal(back.edge, s.edge)
+        flip = forced(flip_prob=1.0)
+        assert_same_sample(augmented(augmented(s, flip), flip), s)
 
     def test_flip_edge_tracks_mask(self):
         s = square_sample(lo=1, hi=6)
-        f = flip_sample(s, "h")
+        f = augmented(s, forced(flip_prob=1.0))
         np.testing.assert_array_equal(f.edge, sobel_edge_gt(f.mask, 1))
+        # flipping both axes is a half turn
+        np.testing.assert_array_equal(f.mask[0], np.rot90(s.mask[0], 2))
+        assert_same_sample(f, augmented(s, forced(rotation_degrees=(180,))))
 
     def test_rot90_moves_centroid(self):
         size = 16
@@ -92,37 +132,33 @@ class TestGeometry:
         mask[0, 2:5, 10:14] = 1.0
         s = SegSample(image=mask.copy(), mask=mask,
                       edge=sobel_edge_gt(mask, 1), id="r")
-        r = rotate_sample(s, 90)
+        r = augmented(s, forced(rotation_degrees=(90,)))
         # numpy rot90 is counterclockwise: (y, x) -> (H-1-x, y)
-        np.testing.assert_array_equal(r.mask[0],
-                                      np.rot90(mask[0]))
+        np.testing.assert_array_equal(r.mask[0], np.rot90(mask[0]))
+        np.testing.assert_array_equal(r.image[0], np.rot90(mask[0]))
 
     def test_rot90_four_times_identity(self):
         s = square_sample(lo=3, hi=10)
         r = s
         for _ in range(4):
-            r = rotate_sample(r, 90)
-        np.testing.assert_array_equal(r.mask, s.mask)
-        np.testing.assert_array_equal(r.image, s.image)
+            r = augmented(r, forced(rotation_degrees=(90,)))
+        assert_same_sample(r, s)
 
     def test_free_angle_rotation_stays_valid(self):
         s = square_sample(size=32, lo=10, hi=22)
-        r = rotate_sample(s, 33.0)
-        assert r.mask.shape == s.mask.shape
-        assert set(np.unique(r.mask)) <= {0.0, 1.0}
-        assert r.image.min() >= 0.0 and r.image.max() <= 1.0
-        np.testing.assert_array_equal(r.edge, sobel_edge_gt(r.mask, 1))
-
-    def test_crop_full_fraction_is_identity(self):
-        s = square_sample()
-        assert crop_sample(s, 1.0, 0, 0) is s
+        r = augmented(s, forced(free_angle_rotation=True))
+        assert not np.array_equal(r.mask, s.mask)
 
     def test_crop_zooms_foreground(self):
         s = square_sample(size=32, lo=8, hi=24)
-        c = crop_sample(s, 0.5, 8, 8)  # window centered on the square
-        assert c.mask.shape == s.mask.shape
-        assert c.mask.sum() > s.mask.sum()
-        assert set(np.unique(c.mask)) <= {0.0, 1.0}
+        half = forced(crop_fraction_min=0.5, crop_fraction_max=0.5)
+        # nearest-neighbour zoom of a 16x16 window repeats each pixel 2x2
+        windows = [np.kron(s.mask[0, t:t + 16, u:u + 16], np.ones((2, 2)))
+                   for t in range(17) for u in range(17)]
+        for seed in range(5):
+            c = augmented(s, half, seed)
+            assert any(np.array_equal(c.mask[0], w) for w in windows)
+            assert c.mask.sum() > s.mask.sum()
 
     def test_rescale_shapes_and_consistency(self):
         s = square_sample(size=32, lo=8, hi=24)
@@ -132,10 +168,6 @@ class TestGeometry:
         np.testing.assert_array_equal(up.edge, sobel_edge_gt(up.mask, 1))
         back = rescale(up, size=32)
         np.testing.assert_array_equal(back.mask, s.mask)
-
-    def test_rescale_by_ratio(self):
-        s = square_sample(size=32)
-        assert rescale(s, ratio=0.75).mask.shape == (1, 24, 24)
 
     def test_rescale_identity_returns_same(self):
         s = square_sample(size=32)
@@ -153,6 +185,17 @@ class TestAugment:
         assert a.mask.shape == s.mask.shape
         assert set(np.unique(a.mask)) <= {0.0, 1.0}
         np.testing.assert_array_equal(a.edge, sobel_edge_gt(a.mask, 1))
+
+    @pytest.mark.parametrize("free_angle", [False, True])
+    def test_output_bytes_pinned(self, free_angle):
+        cfg = AugConfig(free_angle_rotation=free_angle)
+        h = hashlib.sha256()
+        for seed in range(20):
+            s = synth_sample(np.random.default_rng(100 + seed), 32, "x")
+            a = augment(s, np.random.default_rng(seed), cfg)
+            for arr in (a.image, a.mask, a.edge):
+                h.update(arr.tobytes())
+        assert h.hexdigest() == AUGMENT_SHA256[free_angle]
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="flip_prob"):
