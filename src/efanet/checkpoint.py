@@ -5,8 +5,10 @@ Layout (little endian):
     u32 config_len | config echo (UTF-8, the flat key=value serialization)
     u32 n_tensors | n_tensors * record
     u8 has_optimizer [| u32 n_opt | n_opt * record]
-record = u32 name_len | name UTF-8 | u32 rank | rank * u32 extents
-         | float32 payload
+record = u32 name_len | name UTF-8 | tensor record
+The tensor record (u32 rank | rank * u32 extents | float32 payload) is
+written by `dataio.write_array` and read by `dataio.Reader.array`, the same
+length-checked reader every binary input goes through.
 
 Parameters and batch-norm running stats are both stored as named tensors;
 save -> load -> save is byte-identical.
@@ -14,12 +16,10 @@ save -> load -> save is byte-identical.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 
-import numpy as np
-
+from . import dataio
 from .config import RunConfig, parse_config, serialize_config
 from .model import EFANet
 
@@ -32,48 +32,26 @@ class CheckpointError(ValueError):
 
 
 def _write_record(f, name, array):
-    data = np.ascontiguousarray(array, dtype="<f4")
     nb = name.encode("utf-8")
     f.write(struct.pack("<I", len(nb)))
     f.write(nb)
-    f.write(struct.pack("<I", data.ndim))
-    f.write(struct.pack("<%dI" % data.ndim, *data.shape))
-    f.write(data.tobytes())
+    dataio.write_array(f, array)
 
 
-class _Reader:
-    """Length-checked reads from an open checkpoint file; a length read from
-    a corrupt file is checked against the bytes left before it is read."""
-
-    def __init__(self, f):
-        self.f = f
-        self.left = os.fstat(f.fileno()).st_size
-
-    def take(self, n, what):
-        if n > self.left:
-            raise CheckpointError(
-                f"truncated checkpoint: {what} needs {n} bytes, {self.left} left")
-        self.left -= n
-        return self.f.read(n)
-
-    def unpack(self, fmt, what):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
-
-    def text(self, what):
-        """UTF-8 text preceded by its u32 byte length."""
-        raw = self.take(self.unpack("<I", f"{what} length")[0], what)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"{what} is not UTF-8: {exc}") from None
+def _write_records(f, named):
+    f.write(struct.pack("<I", len(named)))
+    for name, array in named:
+        _write_record(f, name, array)
 
 
-def _read_record(r):
-    name = r.text("tensor name")
-    (rank,) = r.unpack("<I", f"rank of {name!r}")
-    shape = r.unpack("<%dI" % rank, f"extents of {name!r}")
-    payload = r.take(4 * math.prod(shape), f"payload of {name!r}")
-    return name, np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+def _read_records(r, what):
+    """A u32 count, then that many records, as a name -> array dict."""
+    (n,) = r.unpack("<I", f"{what} count")
+    out = {}
+    for _ in range(n):
+        name = r.text("tensor name")
+        out[name] = r.array(repr(name))
+    return out
 
 
 def save_checkpoint(path, model: EFANet, cfg: RunConfig, step=0, optimizer=None):
@@ -87,21 +65,11 @@ def save_checkpoint(path, model: EFANet, cfg: RunConfig, step=0, optimizer=None)
             f.write(struct.pack("<IQ", VERSION, step))
             f.write(struct.pack("<I", len(echo)))
             f.write(echo)
-            tensors = list(model.named_parameters())
-            buffers = list(model.named_buffers())
-            f.write(struct.pack("<I", len(tensors) + len(buffers)))
-            for name, p in tensors:
-                _write_record(f, name, p.data)
-            for name, b in buffers:
-                _write_record(f, name, b)
-            if optimizer is None:
-                f.write(struct.pack("<B", 0))
-            else:
-                state = optimizer.state_tensors()
-                f.write(struct.pack("<B", 1))
-                f.write(struct.pack("<I", len(state)))
-                for name in state:
-                    _write_record(f, name, state[name])
+            params = [(name, p.data) for name, p in model.named_parameters()]
+            _write_records(f, params + list(model.named_buffers()))
+            f.write(struct.pack("<B", optimizer is not None))
+            if optimizer is not None:
+                _write_records(f, list(optimizer.state_tensors().items()))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -115,14 +83,9 @@ def load_checkpoint(path):
     Returns (model, cfg, step, optimizer_state or None).
     """
     with open(path, "rb") as f:
-        r = _Reader(f)
-        magic = r.take(4, "magic")
-        if magic != MAGIC:
-            raise CheckpointError(f"{path}: bad magic {magic!r}")
-        version, step = r.unpack("<IQ", "header")
-        if version != VERSION:
-            raise CheckpointError(
-                f"{path}: unsupported checkpoint version {version}")
+        r = dataio.Reader(f, CheckpointError)
+        r.header(MAGIC, VERSION)
+        (step,) = r.unpack("<Q", "step")
         echo = r.text("config echo")
         try:
             cfg = parse_config(echo)
@@ -130,13 +93,9 @@ def load_checkpoint(path):
         except ValueError as exc:
             raise CheckpointError(f"{path}: bad config echo: {exc}") from None
         model = EFANet(cfg.model, seed=cfg.train.seed, dtype=dtype)
-        (n_tensors,) = r.unpack("<I", "tensor count")
-        stored = dict(_read_record(r) for _ in range(n_tensors))
+        stored = _read_records(r, "tensor")
         (has_opt,) = r.unpack("<B", "optimizer flag")
-        opt_state = None
-        if has_opt:
-            (n_opt,) = r.unpack("<I", "optimizer tensor count")
-            opt_state = dict(_read_record(r) for _ in range(n_opt))
+        opt_state = _read_records(r, "optimizer tensor") if has_opt else None
 
     params = dict(model.named_parameters())
     buffers = dict(model.named_buffers())

@@ -10,8 +10,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import dataio, pipeline
 from .analyze import analyze_model
 from .checkpoint import CheckpointError, load_checkpoint
@@ -103,7 +101,7 @@ def _cmd_predict(args):
                                cfg.np_dtype())
     dataio.write_pgm(args.out, prob)
     if args.raw_out:
-        dataio.write_tensor(args.raw_out, prob.astype(np.float32))
+        dataio.write_tensor(args.raw_out, prob)
     print(f"prediction written to {args.out}")
     return EXIT_OK
 

@@ -1,4 +1,5 @@
-"""File formats: binary PGM/PPM images, raw float tensor files, manifests."""
+"""File formats: binary PGM/PPM images, raw float tensor files, manifests,
+and the length-checked reader and tensor record shared with checkpoints."""
 
 from __future__ import annotations
 
@@ -16,27 +17,89 @@ class DataFormatError(ValueError):
     pass
 
 
-def _read_pnm_header(f):
-    def token():
+class Reader:
+    """Length-checked reads from an open binary file, the one reader of every
+    binary format here: a length read from a corrupt file is checked against
+    the bytes left before it is used.  Every failure raises `error`, the
+    caller's format error class."""
+
+    def __init__(self, f, error=DataFormatError):
+        self.f = f
+        self.error = error
+        self.left = os.fstat(f.fileno()).st_size
+
+    def take(self, n, what):
+        if n > self.left:
+            raise self.error(f"truncated {self.f.name}: {what} needs {n} "
+                             f"bytes, {self.left} left")
+        self.left -= n
+        return self.f.read(n)
+
+    def header(self, magic, version):
+        """Check the file's magic bytes and u32 format version."""
+        got = self.take(len(magic), "magic")
+        if got != magic:
+            raise self.error(f"{self.f.name}: bad magic {got!r}")
+        (got,) = self.unpack("<I", "version")
+        if got != version:
+            raise self.error(f"{self.f.name}: unsupported version {got}")
+
+    def unpack(self, fmt, what):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def text(self, what):
+        """UTF-8 text preceded by its u32 byte length."""
+        raw = self.take(self.unpack("<I", f"{what} length")[0], what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.error(f"{what} is not UTF-8: {exc}") from None
+
+    def array(self, what):
+        """A tensor record: u32 rank | rank * u32 extents | float32 payload."""
+        (rank,) = self.unpack("<I", f"rank of {what}")
+        shape = self.unpack("<%dI" % rank, f"extents of {what}")
+        payload = self.take(4 * math.prod(shape), f"payload of {what}")
+        try:
+            return np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+        except ValueError as exc:  # e.g. more dimensions than numpy allows
+            raise self.error(f"{what}: bad shape {shape}: {exc}") from None
+
+
+def write_array(f, array):
+    """Write the tensor record that `Reader.array` reads."""
+    data = np.asarray(array, dtype="<f4")
+    f.write(struct.pack("<I%dI" % data.ndim, data.ndim, *data.shape))
+    f.write(data.tobytes())
+
+
+def _read_pnm_header(r):
+    def token(what):
         tok = b""
         while True:
-            ch = f.read(1)
-            if not ch:
-                raise DataFormatError("truncated PNM header")
-            if ch in b" \t\r\n":
-                if tok:
-                    return tok
-                continue
+            ch = r.take(1, f"PNM {what}")
             if ch == b"#":
-                f.readline()
-                continue
-            tok += ch
+                while r.take(1, "PNM comment") != b"\n":
+                    pass
+            elif ch not in b" \t\r\n":
+                tok += ch
+            elif tok:
+                return tok
 
-    magic = token()
-    width = int(token())
-    height = int(token())
-    maxval = int(token())
-    return magic, width, height, maxval
+    def number(what):
+        tok = token(what)
+        if not tok.isdigit():
+            raise DataFormatError(f"{r.f.name}: PNM {what} {tok!r} is not "
+                                  "a number")
+        return int(tok)
+
+    magic = token("magic")
+    if magic not in (b"P5", b"P6"):
+        raise DataFormatError(f"{r.f.name}: unsupported PNM magic {magic!r}")
+    width, height = number("width"), number("height")
+    if width < 1 or height < 1:
+        raise DataFormatError(f"{r.f.name}: empty PNM image {width}x{height}")
+    return magic, width, height, number("maxval")
 
 
 def read_pnm(path):
@@ -45,15 +108,12 @@ def read_pnm(path):
     Returns (C, H, W) with C=1 for PGM, C=3 for PPM.
     """
     with open(path, "rb") as f:
-        magic, width, height, maxval = _read_pnm_header(f)
-        if magic not in (b"P5", b"P6"):
-            raise DataFormatError(f"{path}: unsupported PNM magic {magic!r}")
+        r = Reader(f)
+        magic, width, height, maxval = _read_pnm_header(r)
         if maxval != 255:
             raise DataFormatError(f"{path}: only maxval 255 supported, got {maxval}")
         channels = 1 if magic == b"P5" else 3
-        raw = f.read(width * height * channels)
-        if len(raw) != width * height * channels:
-            raise DataFormatError(f"{path}: truncated pixel data")
+        raw = r.take(width * height * channels, "pixel data")
     arr = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, channels)
     return np.ascontiguousarray(arr.transpose(2, 0, 1)).astype(np.float64) / 255.0
 
@@ -83,36 +143,23 @@ def read_mask(path, threshold=0.5):
 
 
 def write_tensor(path, array):
-    """Raw little-endian float32 tensor file with an EFAT header."""
-    arr = np.asarray(array, dtype="<f4")
+    """Raw little-endian float32 tensor file: magic "EFAT" | u32 version |
+    one tensor record (see `write_array`)."""
     with open(path, "wb") as f:
         f.write(TENSOR_MAGIC)
-        f.write(struct.pack("<II", TENSOR_VERSION, arr.ndim))
-        f.write(struct.pack("<%dI" % arr.ndim, *arr.shape))
-        f.write(arr.tobytes())
+        f.write(struct.pack("<I", TENSOR_VERSION))
+        write_array(f, array)
 
 
 def read_tensor(path):
-    """Read an EFAT tensor file; each length read from the file is checked
-    against the bytes left before it is used."""
+    """Read an EFAT tensor file; the record must end the file."""
     with open(path, "rb") as f:
-        raw = f.read()
-    magic = raw[:4]
-    if magic != TENSOR_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {magic!r}")
-    if len(raw) < 12:
-        raise DataFormatError(f"{path}: truncated tensor header")
-    version, rank = struct.unpack_from("<II", raw, 4)
-    if version != TENSOR_VERSION:
-        raise DataFormatError(f"{path}: unsupported tensor version {version}")
-    offset = 12 + 4 * rank
-    if offset > len(raw):
-        raise DataFormatError(f"{path}: truncated tensor shape (rank {rank})")
-    shape = struct.unpack_from("<%dI" % rank, raw, 12)
-    if len(raw) - offset != 4 * math.prod(shape):
-        raise DataFormatError(f"{path}: payload size mismatch")
-    data = np.frombuffer(raw, dtype="<f4", offset=offset)
-    return data.reshape(shape).copy()
+        r = Reader(f)
+        r.header(TENSOR_MAGIC, TENSOR_VERSION)
+        array = r.array("tensor")
+        if r.left:
+            raise DataFormatError(f"{path}: {r.left} bytes after the tensor")
+    return array
 
 
 # -- manifests ---------------------------------------------------------------

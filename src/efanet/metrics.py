@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
+from .pipeline import polyp_scale_ratio
+
 _EPS = 1e-8
 
 CURVE_THRESHOLDS = np.arange(256) / 255.0
@@ -261,11 +263,8 @@ class MetricReport:
         return scale_bucket_report(self.records)
 
 
-def evaluate_pair(pred, gt, sample_id="", threshold=DEFAULT_BINARIZE_THRESHOLD,
-                  scale_info=None):
+def evaluate_pair(pred, gt, sample_id="", threshold=DEFAULT_BINARIZE_THRESHOLD):
     """All five metrics for one (prediction, ground truth) pair."""
-    from .pipeline import polyp_scale_ratio
-
     p, g = _prep(pred, gt)
     dice, iou = dice_iou(p, g, threshold)
     s = s_measure(p, g)
@@ -274,9 +273,7 @@ def evaluate_pair(pred, gt, sample_id="", threshold=DEFAULT_BINARIZE_THRESHOLD,
     except EmptyGroundTruthError:
         fw = float("nan")
     em = e_measure_mean(p, g)
-    if scale_info is None:
-        scale_info = polyp_scale_ratio(g.astype(np.float64))
-    ratio, bucket = scale_info
+    ratio, bucket = polyp_scale_ratio(g.astype(np.float64))
     return ImageRecord(sample_id, dice, iou, s, fw, em, ratio, bucket)
 
 

@@ -254,5 +254,8 @@ def load_sample(record, edge_dilation_radius=1):
     sid, img_path, mask_path, _split = record
     image = dataio.read_pnm(img_path)
     mask = dataio.read_mask(mask_path)
+    if image.shape[1:] != mask.shape[1:]:
+        raise dataio.DataFormatError(f"record {sid}: image {image.shape[1:]} "
+                                     f"and mask {mask.shape[1:]} differ in size")
     return SegSample(image=image, mask=mask,
                      edge=sobel_edge_gt(mask, edge_dilation_radius), id=sid)

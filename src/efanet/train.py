@@ -56,10 +56,6 @@ def train(cfg: RunConfig):
         raise ValueError(f"train: {len(samples)} 'train' records in "
                          f"{cfg.train.manifest}, fewer than optim.batch_size "
                          f"= {cfg.optim.batch_size}")
-    for s in samples:
-        h, w = s.mask.shape[-2:]
-        if h != w:
-            raise ValueError(f"train: sample {s.id} is not square ({h}x{w})")
 
     dtype = cfg.np_dtype()
     model = EFANet(cfg.model, seed=cfg.train.seed, dtype=dtype)

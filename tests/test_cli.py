@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from efanet import checkpoint, cli, dataio
+from efanet import checkpoint, cli, dataio, pipeline
 from efanet.backbone import BackboneConfig
 from efanet.checkpoint import (CheckpointError, load_checkpoint,
                                save_checkpoint)
@@ -13,7 +13,8 @@ from efanet.config import (ConfigError, RunConfig, parse_config, save_config,
                            serialize_config)
 from efanet.engine import Adam
 from efanet.model import EFANet, ModelConfig
-from efanet.train import NumericFailure
+from efanet.train import NumericFailure, train
+from corruption import bit_flips, prefixes, sweep
 from test_analyze import toy_config
 
 # SHA-256 of the checkpoint of toy_config()'s model at seed 0.  It pins the
@@ -183,6 +184,22 @@ class TestCheckpoint:
         assert [p.name for p in tmp_path.iterdir()] == ["m.efac"]
 
 
+def _toy_checkpoint(path):
+    """Save toy_config()'s model at seed 0 to `path`; returns the bytes."""
+    cfg = RunConfig()
+    cfg.model = toy_config()
+    save_checkpoint(path, EFANet(cfg.model, seed=0, dtype=np.float32), cfg)
+    return path.read_bytes()
+
+
+def _first_rank_offset(blob):
+    """Offset of the rank field of a checkpoint's first tensor record."""
+    (cfg_len,) = struct.unpack_from("<I", blob, 16)
+    pos = 20 + cfg_len + 4                       # past the tensor count
+    (name_len,) = struct.unpack_from("<I", blob, pos)
+    return pos + 4 + name_len
+
+
 class TestCorruptCheckpoint:
     """Whatever is wrong with a checkpoint's bytes, loading raises
     CheckpointError."""
@@ -202,10 +219,7 @@ class TestCorruptCheckpoint:
             load_checkpoint(path)
 
     def test_every_prefix_of_header_and_first_record(self, tmp_path, blob):
-        (cfg_len,) = struct.unpack_from("<I", blob, 16)
-        pos = 20 + cfg_len + 4                   # past the tensor count
-        (name_len,) = struct.unpack_from("<I", blob, pos)
-        pos += 4 + name_len
+        pos = _first_rank_offset(blob)
         (rank,) = struct.unpack_from("<I", blob, pos)
         shape = struct.unpack_from("<%dI" % rank, blob, pos + 4)
         end = pos + 4 + 4 * rank + 4 * int(np.prod(shape))
@@ -233,11 +247,17 @@ class TestCorruptCheckpoint:
         assert blob.count(old) == 1
         self._rejects(tmp_path, blob.replace(old, new), match="config echo")
 
+    def test_every_bit_flip_of_first_rank_and_extents(self, tmp_path):
+        path = tmp_path / "toy.efac"
+        blob = _toy_checkpoint(path)
+        pos = _first_rank_offset(blob)
+        (rank,) = struct.unpack_from("<I", blob, pos)
+        assert rank == 4
+        assert sweep(path, bit_flips(blob, pos, pos + 4 + 4 * rank),
+                     load_checkpoint, CheckpointError) == []
+
     def test_extents_larger_than_payload(self, tmp_path, blob):
-        (cfg_len,) = struct.unpack_from("<I", blob, 16)
-        pos = 20 + cfg_len + 4
-        (name_len,) = struct.unpack_from("<I", blob, pos)
-        pos += 4 + name_len + 4                  # the first extent
+        pos = _first_rank_offset(blob) + 4       # the first extent
         bad = blob[:pos] + struct.pack("<I", 0xFFFFFFFF) + blob[pos + 4:]
         self._rejects(tmp_path, bad, match="payload")
 
@@ -251,18 +271,32 @@ class TestCorruptTensorFile:
         dataio.write_tensor(path, np.arange(6.0).reshape(2, 3))
         good = path.read_bytes()
         assert len(good) == 44
-        for n in range(len(good)):
-            path.write_bytes(good[:n])
-            with pytest.raises(dataio.DataFormatError):
-                dataio.read_tensor(path)
-        for bit in range(8 * len(good)):
-            bad = bytearray(good)
-            bad[bit // 8] ^= 1 << (bit % 8)
-            path.write_bytes(bytes(bad))
-            try:
-                dataio.read_tensor(path)
-            except dataio.DataFormatError:
-                pass
+        assert sweep(path, prefixes(good), dataio.read_tensor,
+                     dataio.DataFormatError) == []
+        sweep(path, bit_flips(good), dataio.read_tensor, dataio.DataFormatError)
+
+
+class TestCorruptImageFile:
+    """Whatever is wrong with a PGM file's bytes, reading it as an image or
+    as a mask returns a non-empty array or raises DataFormatError."""
+
+    @pytest.mark.parametrize("read", [dataio.read_pnm, dataio.read_mask])
+    def test_every_prefix_and_bit_flip(self, tmp_path, read):
+        path = tmp_path / "a.pgm"
+        dataio.write_pgm(path, np.linspace(0.0, 1.0, 12).reshape(4, 3))
+        good = path.read_bytes()
+        assert len(good) == 23
+        loaded = sweep(path, prefixes(good) + bit_flips(good), read,
+                       dataio.DataFormatError)
+        assert loaded and all(a.size for a in loaded)
+
+    @pytest.mark.parametrize("header", [b"P5 0 4 255\n", b"P5 3 -4 255\n",
+                                        b"P5 3 x 255\n", b"P5 3 4 2_55\n"])
+    def test_bad_header_rejected(self, tmp_path, header):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(header + bytes(12))
+        with pytest.raises(dataio.DataFormatError, match="PNM"):
+            dataio.read_pnm(path)
 
 
 class TestSynthCommand:
@@ -308,6 +342,22 @@ class TestTrainCommand:
         for (name, p), (_, q) in zip(loaded.named_parameters(),
                                      fresh.named_parameters()):
             np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+
+
+    def test_non_square_samples_train_and_evaluate(self, tmp_path):
+        manifest = pipeline.synth_blob_dataset(10, 64, 3, str(tmp_path / "d"))
+        for _, image_path, mask_path, _ in dataio.read_manifest(manifest):
+            for p in (image_path, mask_path):
+                dataio.write_pgm(p, dataio.read_pnm(p)[:, :, :48])
+        cfg = tiny_run_config(tmp_path, manifest=manifest)
+        cfg.optim.epochs = 2
+        final, steps, _ = train(cfg)
+        assert steps == 8            # 8 train samples, batch 2, 2 epochs
+        out = tmp_path / "eval"
+        assert cli.main(["eval", "--checkpoint", final, "--manifest",
+                         manifest, "--out", str(out)]) == 0
+        rows = (out / "report.tsv").read_text().splitlines()
+        assert len([r for r in rows if r.startswith("blob")]) == 2
 
 
 class TestEvalPredictAnalyze:
@@ -376,6 +426,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "checkpoint error" in err and "Traceback" not in err
 
+    def test_checkpoint_rank_flipped_to_68_is_3(self, tmp_path, dataset,
+                                                capsys):
+        path = tmp_path / "r68.efac"
+        blob = bytearray(_toy_checkpoint(path))
+        pos = _first_rank_offset(blob)
+        assert blob[pos] == 4
+        blob[pos] ^= 64                          # rank 4 -> 68
+        path.write_bytes(bytes(blob))
+        assert cli.main(["eval", "--checkpoint", str(path),
+                         "--manifest", dataset]) == 3
+        err = capsys.readouterr().err
+        assert "checkpoint error" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("key", ["optim.checkpoint_interval",
                                      "optim.batch_size", "optim.epochs",
                                      "optim.max_steps"])
@@ -401,6 +464,26 @@ class TestExitCodes:
         assert cli.main(["train", "--config", str(cfg_path)]) == 2
         assert "optim.batch_size" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(cfg.train.out_dir, "final.efac"))
+
+    def test_image_mask_size_mismatch_is_2(self, tmp_path, dataset, capsys):
+        records = dataio.read_manifest(dataset)
+        for _, _, mask_path, _ in records:
+            dataio.write_pgm(mask_path,
+                             dataio.read_mask(mask_path)[:, ::2, ::2])
+        cfg = tiny_run_config(tmp_path, manifest=dataset)
+        cfg_path = tmp_path / "m.cfg"
+        save_config(cfg_path, cfg)
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "(32, 32) and mask (16, 16)" in err
+        assert not os.path.exists(os.path.join(cfg.train.out_dir, "final.efac"))
+        ckpt = tmp_path / "m.efac"
+        save_checkpoint(ckpt, EFANet(cfg.model, seed=1, dtype=np.float32), cfg)
+        assert cli.main(["eval", "--checkpoint", str(ckpt),
+                         "--manifest", dataset]) == 2
+        (test_id,) = [r[0] for r in records if r[3] == "test"]
+        assert f"record {test_id}: image (32, 32) and mask (16, 16)" in \
+            capsys.readouterr().err
 
     def test_bad_analyze_resolution_is_2(self, tmp_path):
         cfg_path = tmp_path / "a.cfg"

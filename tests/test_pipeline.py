@@ -250,3 +250,12 @@ class TestSynth:
         assert s.image.shape == (1, 32, 32)
         assert set(np.unique(s.mask)) <= {0.0, 1.0}
         assert s.id == records[0][0]
+
+    def test_load_sample_rejects_image_mask_size_mismatch(self, tmp_path):
+        manifest = synth_blob_dataset(1, 32, 5, str(tmp_path / "d"))
+        (record,) = dataio.read_manifest(manifest)
+        mask_path = record[2]
+        dataio.write_pgm(mask_path, dataio.read_mask(mask_path)[:, :, :16])
+        with pytest.raises(dataio.DataFormatError, match=rf"record {record[0]}: "
+                           r"image \(32, 32\) and mask \(32, 16\)"):
+            pipeline.load_sample(record)
