@@ -2,8 +2,8 @@
 F-measure, mean enhanced-alignment measure, PR/F curves, and the per-scale
 bucket report.
 
-All functions take a prediction map P in [0,1] and a binary ground truth G
-as 2-D numpy arrays (leading singleton channel axes are squeezed).
+All functions take a finite prediction map P in [0,1] and a binary ground
+truth G as 2-D numpy arrays (leading singleton channel axes are squeezed).
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ def _prep(pred, gt):
         g = g[0]
     if p.shape != g.shape:
         raise ValueError(f"prediction shape {p.shape} != ground truth {g.shape}")
+    if not np.isfinite(p).all():
+        raise ValueError(f"{(~np.isfinite(p)).sum()} non-finite "
+                         f"prediction value(s)")
     if not np.all((g == 0) | (g == 1)):
         raise ValueError("ground truth must be binary")
     return p, g.astype(bool)
@@ -160,21 +163,19 @@ def weighted_fmeasure(pred, gt, beta_sq=WEIGHTED_F_BETA_SQ):
     return float(np.clip(f, 0.0, 1.0))
 
 
-# -- enhanced-alignment measure ----------------------------------------------
+# -- enhanced-alignment measure and curves -----------------------------------
 
 
-def _e_measure_binary(bin_pred, gt):
-    h, w = gt.shape
-    if not gt.any():
-        enhanced = 1.0 - bin_pred
-    elif gt.all():
-        enhanced = bin_pred.astype(np.float64)
-    else:
-        fm = bin_pred - bin_pred.mean()
-        gm = gt - gt.mean()
-        align = 2.0 * gm * fm / (gm * gm + fm * fm + _EPS)
-        enhanced = (align + 1.0) ** 2 / 4.0
-    return float(enhanced.sum() / (h * w - 1 + _EPS))
+def _counts_above(p, g, side):
+    """G's foreground and background pixel counts above each curve threshold
+    (side="right": P > tau, "left": P >= tau).  The four (prediction, truth)
+    classes score alike pixel for pixel, so counts give both sweeps exactly."""
+    counts = []
+    for vals in (p[g], p[~g]):
+        vals.sort()
+        counts.append(vals.size - np.searchsorted(vals, CURVE_THRESHOLDS,
+                                                  side=side))
+    return counts
 
 
 def e_measure_mean(pred, gt):
@@ -182,14 +183,19 @@ def e_measure_mean(pred, gt):
     measure (strict > binarization, so an exact binary map only misses the
     top threshold)."""
     p, g = _prep(pred, gt)
-    gf = g.astype(np.float64)
-    scores = []
-    for tau in CURVE_THRESHOLDS:
-        scores.append(_e_measure_binary((p > tau).astype(np.float64), gf))
-    return float(np.clip(np.mean(scores), 0.0, 1.0))
-
-
-# -- curves ------------------------------------------------------------------
+    n, ng = p.size, int(g.sum())
+    tp, fp = _counts_above(p, g, "right")
+    npred = tp + fp
+    if 0 < ng < n:
+        # rows: the (1, 1), (1, 0), (0, 1), (0, 0) (prediction, truth) classes
+        counts = np.stack([tp, fp, ng - tp, n - npred - ng + tp])
+        fm = np.array([[1], [1], [0], [0]]) - npred / n
+        gm = np.array([[1], [0], [1], [0]]) - ng / n
+        align = 2.0 * gm * fm / (gm * gm + fm * fm + _EPS)
+        total = (counts * ((align + 1.0) ** 2 / 4.0)).sum(axis=0)
+    else:
+        total = npred if ng else n - npred
+    return float(np.clip(np.mean(total / (n - 1 + _EPS)), 0.0, 1.0))
 
 
 @dataclass
@@ -202,26 +208,18 @@ class CurveSet:
 
 
 def pr_curves(samples, f_beta_sq=CURVE_F_BETA_SQ):
-    """Dataset-mean precision/recall over 256 thresholds; F from the means.
-
-    Precision of an empty prediction is defined as 1 (0/0 guard).
-    """
+    """Dataset-mean precision/recall of P >= tau over 256 thresholds; F from
+    the means.  Precision of an empty prediction is defined as 1."""
     if not samples:
         raise ValueError("pr_curves: empty sample list")
-    n_thr = CURVE_THRESHOLDS.size
-    precisions = np.zeros(n_thr)
-    recalls = np.zeros(n_thr)
+    sums = np.zeros((2, CURVE_THRESHOLDS.size))
     for pred, gt in samples:
         p, g = _prep(pred, gt)
-        ng = float(g.sum())
-        for i, tau in enumerate(CURVE_THRESHOLDS):
-            b = p >= tau
-            nb = float(b.sum())
-            tp = float(np.logical_and(b, g).sum())
-            precisions[i] += 1.0 if nb == 0 else tp / nb
-            recalls[i] += 1.0 if ng == 0 else tp / ng
-    precisions /= len(samples)
-    recalls /= len(samples)
+        tp, fp = _counts_above(p, g, "left")
+        nb = tp + fp
+        sums[0] += np.where(nb == 0, 1.0, tp / np.maximum(nb, 1))
+        sums[1] += tp / g.sum() if g.any() else 1.0
+    precisions, recalls = sums / len(samples)
     f = ((1.0 + f_beta_sq) * precisions * recalls /
          np.maximum(f_beta_sq * precisions + recalls, _EPS))
     return CurveSet(CURVE_THRESHOLDS.copy(), precisions, recalls, f, f_beta_sq)
@@ -250,11 +248,12 @@ class MetricReport:
     def aggregate(self):
         if not self.records:
             return {}
+        defined_f_w = [r.f_w for r in self.records if not np.isnan(r.f_w)]
         return {
             "mDice": float(np.mean([r.dice for r in self.records])),
             "mIoU": float(np.mean([r.iou for r in self.records])),
             "S_alpha": float(np.mean([r.s_alpha for r in self.records])),
-            "F_w": float(np.mean([r.f_w for r in self.records])),
+            "F_w": float(np.mean(defined_f_w)) if defined_f_w else np.nan,
             "E_mean": float(np.mean([r.e_mean for r in self.records])),
             "count": len(self.records),
         }

@@ -16,7 +16,7 @@ from .model import EFANet, total_loss
 
 
 class NumericFailure(RuntimeError):
-    """Raised when a NaN/Inf loss is detected; carries the last-good path."""
+    """Raised on a NaN/Inf loss or prediction; carries the last-good path."""
 
     def __init__(self, message, last_checkpoint=None):
         super().__init__(message)
@@ -136,7 +136,11 @@ def evaluate(model, cfg: RunConfig, manifest_path, split="test",
     if not wanted:
         raise ValueError(f"no '{split}' records in {manifest_path}")
     if workers is None:
-        workers = int(os.environ.get("EFANET_THREADS", "1"))
+        raw = os.environ.get("EFANET_THREADS", "1")
+        if not raw.strip().isdecimal() or int(raw) < 1:
+            raise ValueError(f"EFANET_THREADS must be an integer >= 1, "
+                             f"got {raw!r}")
+        workers = int(raw)
 
     def run_one(record):
         sample = pipeline.load_sample(record, cfg.aug.edge_dilation_radius)
@@ -145,6 +149,9 @@ def evaluate(model, cfg: RunConfig, manifest_path, split="test",
         else:
             prob = predict_probability(model, sample.image,
                                        cfg.aug.target_size, cfg.np_dtype())
+            if not np.isfinite(prob).all():
+                raise NumericFailure(
+                    f"record {sample.id}: non-finite prediction")
         rec = metrics.evaluate_pair(prob, sample.mask[0], sample.id,
                                     cfg.eval.threshold)
         return rec, (prob, sample.mask[0])

@@ -360,6 +360,20 @@ class TestTrainCommand:
         assert len([r for r in rows if r.startswith("blob")]) == 2
 
 
+# SHA-256 of report.tsv, curves.tsv and buckets.tsv from `efanet eval` of the
+# toy_config() seed-0 checkpoint on the test split of a fixed synthetic
+# dataset.  The metric values are printed to 6 decimals, so a change to how
+# they are computed that moves any of them changes these hashes.
+TOY_EVAL_SHA256 = {
+    "report.tsv":
+        "a88dc95eef5790618991763f122e08208a3486acef727463170c6a4713080b9c",
+    "curves.tsv":
+        "ba852df439826d15644f0d21467f56354eb8f3d9caaf111bdf763ec499141ddb",
+    "buckets.tsv":
+        "89e30984bb7bbbf0f2e80330e448de60d85d0fcf7a72712e388acf5b3baed066",
+}
+
+
 class TestEvalPredictAnalyze:
     @pytest.fixture
     def checkpoint(self, tmp_path, dataset):
@@ -380,6 +394,25 @@ class TestEvalPredictAnalyze:
         assert float(agg[2]) == 1.0          # mIoU
         assert os.path.exists(os.path.join(out, "curves.tsv"))
         assert os.path.exists(os.path.join(out, "buckets.tsv"))
+
+    def test_toy_eval_outputs_pinned(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("EFANET_THREADS", "1")
+        data = tmp_path / "data"
+        assert cli.main(["synth", "--n", "40", "--size", "64", "--seed", "5",
+                         "--out", str(data)]) == 0
+        manifest = str(data / "manifest.tsv")
+        test_masks = [r[2] for r in dataio.read_manifest(manifest)
+                      if r[3] == "test"]
+        assert len(test_masks) == 8
+        assert all(dataio.read_mask(m).any() for m in test_masks)
+        ckpt = tmp_path / "toy.efac"
+        _toy_checkpoint(ckpt)
+        out = tmp_path / "eval"
+        assert cli.main(["eval", "--checkpoint", str(ckpt),
+                         "--manifest", manifest, "--out", str(out)]) == 0
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in TOY_EVAL_SHA256}
+        assert got == TOY_EVAL_SHA256
 
     def test_predict_outputs(self, tmp_path, dataset, checkpoint):
         records = dataio.read_manifest(dataset)
@@ -484,6 +517,38 @@ class TestExitCodes:
         (test_id,) = [r[0] for r in records if r[3] == "test"]
         assert f"record {test_id}: image (32, 32) and mask (16, 16)" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
+    def test_bad_eval_threads_is_2(self, tmp_path, dataset, capsys,
+                                   monkeypatch, value):
+        ckpt = tmp_path / "toy.efac"
+        _toy_checkpoint(ckpt)
+        monkeypatch.setenv("EFANET_THREADS", value)
+        out = tmp_path / "eval"
+        assert cli.main(["eval", "--checkpoint", str(ckpt),
+                         "--manifest", dataset, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "EFANET_THREADS" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_non_finite_prediction_in_eval_is_4(self, tmp_path, dataset,
+                                                capsys, monkeypatch):
+        monkeypatch.setenv("EFANET_THREADS", "1")
+        cfg = RunConfig()
+        cfg.model = toy_config()
+        model = EFANet(cfg.model, seed=0, dtype=np.float32)
+        model.parameters()[0].data.reshape(-1)[0] = np.nan
+        ckpt = tmp_path / "nan.efac"
+        save_checkpoint(ckpt, model, cfg)
+        out = tmp_path / "eval"
+        assert cli.main(["eval", "--checkpoint", str(ckpt),
+                         "--manifest", dataset, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        (test_id,) = [r[0] for r in dataio.read_manifest(dataset)
+                      if r[3] == "test"]
+        assert f"record {test_id}: non-finite prediction" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_analyze_resolution_is_2(self, tmp_path):
         cfg_path = tmp_path / "a.cfg"

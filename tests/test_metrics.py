@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import metric_oracle
 from efanet import metrics
 from efanet.metrics import (CURVE_THRESHOLDS, EmptyGroundTruthError,
                             ImageRecord, MetricReport, dice_iou,
@@ -143,9 +144,10 @@ class TestEMeasure:
         maps = {tuple((p > tau).astype(int).reshape(-1))
                 for tau in CURVE_THRESHOLDS}
         assert len(maps) == 2  # binarization collapses to two maps
-        low = [metrics._e_measure_binary((p > tau).astype(np.float64), g)
+        score = metric_oracle._e_measure_binary
+        low = [score((p > tau).astype(np.float64), g)
                for tau in CURVE_THRESHOLDS if tau < 0.5]
-        high = [metrics._e_measure_binary((p > tau).astype(np.float64), g)
+        high = [score((p > tau).astype(np.float64), g)
                 for tau in CURVE_THRESHOLDS if tau >= 0.5]
         assert len(set(low)) == 1 and len(set(high)) == 1
 
@@ -155,6 +157,68 @@ class TestEMeasure:
             p = rng.random((8, 8))
             g = (rng.random((8, 8)) < 0.5).astype(np.float64)
             assert 0.0 <= e_measure_mean(p, g) <= 1.0
+
+
+def _oracle_cases():
+    """(prediction, ground truth) pairs covering the count path's edges."""
+    rng = np.random.default_rng(6)
+    cases = []
+    for shape in [(16, 16), (1, 1), (1, 9), (9, 1), (7, 13), (64, 48)]:
+        def truth(fill):
+            return (rng.random(shape) < fill).astype(np.float64)
+        maps = {"random": rng.random(shape),
+                # on the thresholds themselves, where > and >= part ways
+                "quantised": rng.integers(0, 256, shape) / 255.0,
+                "constant": np.full(shape, 0.5),
+                "zeros": np.zeros(shape),
+                "ones": np.ones(shape)}
+        for name, p in maps.items():
+            for gname, g in (("mixed", truth(0.4)), ("empty", truth(0.0)),
+                             ("full", truth(1.1))):
+                cases.append((f"{shape}-{name}-{gname}", p, g))
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+class TestCountsMatchOracle:
+    """The count-based sweeps agree with the per-pixel definitions."""
+
+    @pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: c[0])
+    def test_e_measure_mean(self, case):
+        _, p, g = case
+        assert abs(e_measure_mean(p, g) -
+                   metric_oracle.e_measure_mean(p, g)) <= 1e-12
+
+    @pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: c[0])
+    def test_pr_curves_single_sample(self, case):
+        _, p, g = case
+        self._assert_equal_curves([(p, g)])
+
+    def test_pr_curves_multi_sample(self):
+        self._assert_equal_curves([(p, g) for _, p, g in ORACLE_CASES])
+
+    def _assert_equal_curves(self, samples):
+        got = pr_curves(samples)
+        want = metric_oracle.pr_curves(samples)
+        for name in ("thresholds", "precision", "recall", "fmeasure"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), \
+                name
+
+
+class TestNonFinitePrediction:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_with_count(self, bad):
+        p = np.full((8, 8), 0.3)
+        p[2, 5] = bad
+        g = half_ones(8)
+        for fn in (dice_iou, s_measure, weighted_fmeasure, e_measure_mean,
+                   evaluate_pair):
+            with pytest.raises(ValueError, match="1 non-finite"):
+                fn(p, g)
+        with pytest.raises(ValueError, match="1 non-finite"):
+            pr_curves([(g, g), (p, g)])
 
 
 class TestRangeProperty:
@@ -237,6 +301,19 @@ class TestReport:
         assert rec.dice == 1.0
         assert np.isnan(rec.f_w)
         assert rec.bucket == "small"
+
+    def test_f_w_mean_skips_empty_ground_truth(self):
+        full = evaluate_pair(half_ones(8), half_ones(8), "full")
+        empty = evaluate_pair(np.zeros((8, 8)), np.zeros((8, 8)), "empty")
+        agg = MetricReport(records=[full, empty]).aggregate()
+        assert agg["mDice"] == 1.0
+        assert agg["F_w"] == full.f_w
+        assert np.isnan(empty.f_w)          # the per-image row is unchanged
+
+    def test_f_w_nan_when_no_ground_truth_has_foreground(self):
+        empty = evaluate_pair(np.zeros((8, 8)), np.zeros((8, 8)), "empty")
+        agg = MetricReport(records=[empty, empty]).aggregate()
+        assert np.isnan(agg["F_w"])
 
     def test_tsv_outputs(self, tmp_path):
         g = half_ones(8)
