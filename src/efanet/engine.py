@@ -10,11 +10,13 @@ created with ``requires_grad=True``.  A graph can be backpropagated once:
 the activations a closure holds are released during the pass, and a second
 pass through a consumed node raises ``ValueError``.
 
-``conv2d`` lowers each sample's padded input to (Cin*kh*kw, OH*OW) columns
-and multiplies by the (Cout, Cin*kh*kw) weight, which gives NCHW output with
-no transpose.  Its backward keeps no columns: it lowers the saved input again
-(recompute instead of memory) and gets the input gradient of a stride-1 conv
-as a correlation of the upstream gradient with the flipped kernel.
+``conv2d`` picks per conv and direction between lowering each sample's
+padded input to (Cin*kh*kw, OH*OW) columns for one GEMM, and, for stride-1
+kernels larger than 1x1, one GEMM per tap over shifted windows of the
+flattened padded input, which copies nothing but the padding.  Its backward
+keeps no columns: it reads the saved input again (recompute instead of
+memory) and gets the input gradient of a stride-1 conv as a correlation of
+the upstream gradient with the flipped kernel.
 """
 
 from __future__ import annotations
@@ -360,24 +362,102 @@ def _pad(a, ph, pw):
     return out
 
 
+def _windows(a, ph, pw, kh, kw, dilation):
+    """The shifted windows of a stride-1 kernel over NCHW `a` zero-padded by
+    (ph, pw): the padded maps are flattened to Hp*Wp entries followed by
+    d*(kw-1) zeros, so tap (i, j) reads one contiguous window of OH*Wp
+    entries at offset d*(i*Wp + j).  Each window row of Wp entries holds the
+    tap's inputs for one output row, then Wp - OW junk columns.  Yields
+    (i, j, window) with (N, C, OH*Wp) views of one padded copy."""
+    n, c, h, w = a.shape
+    hp, wp = h + 2 * ph, w + 2 * pw
+    flat = np.zeros((n, c, hp * wp + dilation * (kw - 1)), dtype=a.dtype)
+    flat[:, :, :hp * wp].reshape(n, c, hp, wp)[:, :, ph:ph + h, pw:pw + w] = a
+    m = (hp - dilation * (kh - 1)) * wp
+    for i in range(kh):
+        for j in range(kw):
+            off = dilation * (i * wp + j)
+            yield i, j, flat[:, :, off:off + m]
+
+
+def _shift_conv(a, wt, ph, pw, dilation):
+    """Stride-1 correlation of NCHW `a`, zero-padded by (ph, pw), with the
+    (Cout, Cin, kh, kw) kernel `wt`: the sum over taps of W[:, :, i, j] @
+    window, with the junk columns cropped: a (N, Cout, OH, OW) array."""
+    n, _, h, w = a.shape
+    cout, _, kh, kw = wt.shape
+    wp = w + 2 * pw
+    oh = h + 2 * ph - dilation * (kh - 1)
+    taps = np.ascontiguousarray(wt.transpose(2, 3, 0, 1))
+    out = part = None
+    for i, j, win in _windows(a, ph, pw, kh, kw, dilation):
+        if out is None:
+            out = np.matmul(taps[i, j], win)
+            part = np.empty_like(out)
+        else:
+            out += np.matmul(taps[i, j], win, out=part)
+    return np.ascontiguousarray(
+        out.reshape(n, cout, oh, wp)[:, :, :, :wp - dilation * (kw - 1)])
+
+
+def _shift_weight_grad(a, g, kh, kw, padding, dilation):
+    """Weight gradient of a stride-1 conv of `a` by shifted windows: per tap,
+    g zero-padded to width Wp times the window transposed, summed over the
+    batch; the zero columns cancel the windows' junk."""
+    n, cout, oh, ow = g.shape
+    wp = a.shape[3] + 2 * padding
+    gp = np.zeros((n, cout, oh, wp), dtype=g.dtype)
+    gp[:, :, :, :ow] = g
+    gp = gp.reshape(n, cout, oh * wp)
+    gw = np.empty((cout, a.shape[1], kh, kw), dtype=g.dtype)
+    for i, j, win in _windows(a, padding, padding, kh, kw, dilation):
+        gw[:, :, i, j] = np.matmul(gp, win.transpose(0, 2, 1)).sum(axis=0)
+    return gw
+
+
+def _conv_plan(cin, cout, kh, kw, stride, padding, dilation, w):
+    """The methods of one conv, from its arguments and input width alone:
+    (forward, input gradient).  The weight gradient reads the input the way
+    the forward does.
+
+    Forward: "shift" (shifted-window GEMMs, no lowering copy) or "lower".
+    Input gradient: the correlation of the padded upstream gradient with
+    the flipped, Cin/Cout-swapped kernel, by shifted windows ("shift") or
+    by lowering ("correlate"); or "scatter" (per-tap adds of W^T @ g) for
+    a stride other than 1 or a padding above d*(k-1).
+
+    Shifted windows skip the copy of each input into kh*kw taps.  They pay
+    for it with Wp - OW = d*(kw-1) junk columns per output row, and with
+    kh*kw GEMMs of K = C instead of one of K = C*kh*kw.  So they are used
+    where the copy costs most, on the side whose input is the wider one
+    (Cin >= Cout for the forward, Cout >= Cin for the input gradient), and
+    only while the junk is at most a quarter of the output width."""
+    junk = dilation * (kw - 1)
+    shiftable = stride == 1 and kh * kw > 1
+    fwd = "shift" if (shiftable and cout <= cin
+                      and 4 * junk <= w + 2 * padding - junk) else "lower"
+    if stride != 1 or min(dilation * (kh - 1), junk) < padding:
+        return fwd, "scatter"
+    return fwd, "shift" if shiftable and cin <= cout and 4 * junk <= w else "correlate"
+
+
 def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
     """2-D cross-correlation over NCHW input.
 
     weight: (Cout, Cin, kh, kw).  Output spatial size follows the usual
     floor((H + 2p - d*(k-1) - 1)/s) + 1 rule.
 
-    The forward lowers the padded input to per-sample cols (N, Cin*kh*kw,
-    OH*OW) and multiplies by the (Cout, Cin*kh*kw) weight, which gives NCHW
-    directly.  No cols are kept for backward: it lowers the input again for
-    the weight gradient.  The input gradient of a stride-1 conv with
-    padding <= d*(k-1) is itself a stride-1 correlation of the upstream
-    gradient, padded by d*(k-1) - padding, with the flipped kernel whose
-    Cin/Cout axes are swapped; any other conv scatters per-tap slices of
-    W^T @ g back onto the padded input.  Where both apply the correlation is
-    faster: the scatter's W^T @ g buffer holds Cin*kh*kw rows per output
-    pixel and is added back tap by tap, while the correlation's GEMM writes
-    only the Cin-row input gradient, which matters most for the wide
-    concat-fusion convs.
+    ``_conv_plan`` picks the method of each direction from the conv's
+    arguments and input shape.  Lowering copies each tap's slice of the
+    padded input into per-sample cols (N, Cin*kh*kw, OH*OW) and multiplies
+    by the (Cout, Cin*kh*kw) weight, which gives NCHW directly; shifted
+    windows (``_windows``) copy nothing but the padding.  No cols are kept
+    for backward: the weight gradient reads the input again the way the
+    forward did.  The input gradient of a stride-1 conv with padding <=
+    d*(k-1) is a stride-1 correlation of the upstream gradient, padded by
+    d*(k-1) - padding, with the flipped kernel whose Cin/Cout axes are
+    swapped; any other conv scatters per-tap slices of W^T @ g back onto the
+    padded input.
     """
     if x.data.ndim != 4:
         raise ValueError(f"conv2d: input must be 4-D (N,C,H,W), got shape {x.shape}")
@@ -400,9 +480,16 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
             f"conv2d: effective kernel ({eff_h}x{eff_w}) exceeds padded input "
             f"({h + 2 * padding}x{w + 2 * padding})")
 
+    fwd_method, gx_method = _conv_plan(cin, cout, kh, kw, stride, padding,
+                                       dilation, w)
     wmat = weight.data.reshape(cout, cin * kh * kw)
-    cols, oh, ow = _lower(_pad(x.data, padding, padding), kh, kw, stride, dilation)
-    out = np.matmul(wmat, cols).reshape(n, cout, oh, ow)
+    if fwd_method == "shift":
+        out = _shift_conv(x.data, weight.data, padding, padding, dilation)
+    else:
+        cols, oh, ow = _lower(_pad(x.data, padding, padding), kh, kw, stride,
+                              dilation)
+        out = np.matmul(wmat, cols).reshape(n, cout, oh, ow)
+    oh, ow = out.shape[2:]
     if bias is not None:
         out += bias.data[None, :, None, None]
     _record_flops("conv", 2 * n * cout * cin * kh * kw * oh * ow)
@@ -411,16 +498,24 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
     qh, qw = dilation * (kh - 1) - padding, dilation * (kw - 1) - padding
 
     def bwd(g):
-        gmat = g.reshape(n, cout, oh * ow)
-        cols, _, _ = _lower(_pad(x.data, padding, padding), kh, kw, stride, dilation)
-        gw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
-        del cols
-        if stride == 1 and qh >= 0 and qw >= 0:
-            flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        if fwd_method == "shift":
+            gw = _shift_weight_grad(x.data, g, kh, kw, padding, dilation)
+        else:
+            gmat = g.reshape(n, cout, oh * ow)
+            cols, _, _ = _lower(_pad(x.data, padding, padding), kh, kw, stride,
+                                dilation)
+            gw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(
+                weight.shape)
+            del cols
+        flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        if gx_method == "shift":
+            gx = _shift_conv(g, flipped, qh, qw, dilation)
+        elif gx_method == "correlate":
             gcols, _, _ = _lower(_pad(g, qh, qw), kh, kw, 1, dilation)
             gx = np.matmul(flipped.reshape(cin, cout * kh * kw), gcols).reshape(x.shape)
         else:
-            gcols = np.matmul(wmat.T, gmat).reshape(n, cin, kh, kw, oh, ow)
+            gcols = np.matmul(wmat.T, g.reshape(n, cout, oh * ow)).reshape(
+                n, cin, kh, kw, oh, ow)
             gxp = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
             for i, j, (ys, xs) in _taps(kh, kw, oh, ow, stride, dilation):
                 gxp[:, :, ys, xs] += gcols[:, :, i, j]
@@ -432,52 +527,78 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
     return _make_node(out, parents, bwd)
 
 
+def _channel_sum(a, b=None):
+    """Per-channel sum of an (N, C, M) array, or of a * b: per-row sums in
+    the arrays' dtype, added across rows in float64."""
+    rows = a.sum(axis=2) if b is None else np.einsum("ncm,ncm->nc", a, b)
+    return rows.sum(axis=0, dtype=np.float64)
+
+
 def batch_norm(x, gamma, beta, running_mean, running_var, training,
                momentum=0.1, eps=1e-5):
     """Per-channel batch normalization over (N,H,W).
 
     ``running_mean``/``running_var`` are plain numpy buffers updated in place
     in train mode (exponential moving average) and consumed in eval mode.
+
+    Each channel is applied as one scale and one shift to x minus a center,
+    the channel's mean rounded to x's dtype; that subtraction is exact for
+    inputs near the mean, and the rounding residual goes into the shift.
+    Training statistics take two passes: a first mean gives the center,
+    and the mean and variance of the centered values give the statistics,
+    so a float32 channel of large mean and small spread keeps its
+    precision.  Backward keeps x, not the normalized map.
     """
     if x.data.ndim != 4:
         raise ValueError(f"batch_norm: input must be 4-D, got shape {x.shape}")
-    c = x.shape[1]
+    n, c = x.shape[:2]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ValueError(
             f"batch_norm: gamma/beta shapes {gamma.shape}/{beta.shape} "
             f"do not match C={c}")
     _record_flops("elementwise", x.size)
+    xs = x.data.reshape(n, c, -1)
+    m = n * xs.shape[2]
 
     if training:
-        mu = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        center = (_channel_sum(xs) / m).astype(x.dtype)
+        out = np.subtract(xs, center[:, None])
+        resid = _channel_sum(out) / m
+        var = np.maximum(_channel_sum(out, out) / m - resid * resid, 0.0)
+        mu = center + resid
         running_mean *= 1.0 - momentum
         running_mean += momentum * mu
         running_var *= 1.0 - momentum
         running_var += momentum * var
     else:
-        mu = running_mean.astype(x.dtype)
-        var = running_var.astype(x.dtype)
+        center = running_mean.astype(x.dtype)
+        out = np.subtract(xs, center[:, None])
+        resid = running_mean - center
+        var = running_var
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu[None, :, None, None]) * inv_std[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    scale = gamma.data * inv_std
+    out *= scale.astype(x.dtype)[:, None]
+    out += (beta.data - resid * scale).astype(x.dtype)[:, None]
 
     def bwd(g):
-        ggamma = (g * xhat).sum(axis=(0, 2, 3))
-        gbeta = g.sum(axis=(0, 2, 3))
+        g3 = g.reshape(n, c, -1)
+        d = np.subtract(xs, center[:, None])
+        gbeta = _channel_sum(g3)
+        ggamma = inv_std * (_channel_sum(g3, d) - resid * gbeta)
+        gx = g3 * scale.astype(x.dtype)[:, None]
         if training:
-            m = x.shape[0] * x.shape[2] * x.shape[3]
-            gxhat = g * gamma.data[None, :, None, None]
-            mean_g = gxhat.mean(axis=(0, 2, 3), keepdims=True)
-            mean_gx = (gxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
-            gx = inv_std[None, :, None, None] * (gxhat - mean_g - xhat * mean_gx)
-            gx = gx.astype(x.dtype, copy=False)
-        else:
-            gx = g * (gamma.data * inv_std)[None, :, None, None]
-        return gx, ggamma, gbeta
+            # gx = scale * (g - mean(g) - xhat * mean(g * xhat)), with
+            # xhat = (d - resid) * inv_std: one scale of g plus one of d
+            # plus one shift per channel
+            coef = scale * inv_std * ggamma / m
+            d *= (-coef).astype(x.dtype)[:, None]
+            gx += d
+            gx += (coef * resid - scale * gbeta / m).astype(x.dtype)[:, None]
+        return (gx.reshape(x.shape), ggamma.astype(gamma.dtype),
+                gbeta.astype(beta.dtype))
 
-    return _make_node(out.astype(x.dtype, copy=False), (x, gamma, beta), bwd)
+    return _make_node(out.reshape(x.shape), (x, gamma, beta), bwd)
 
 
 def _resize_matrix(n_in, n_out, align_corners, dtype):

@@ -207,22 +207,39 @@ class CurveSet:
     f_beta_sq: float = CURVE_F_BETA_SQ
 
 
+def _mean_curve_set(precisions, recalls, f_beta_sq):
+    """Mean per-image precision and recall rows, summed in the given order;
+    F from the means."""
+    precision = sum(precisions) / len(precisions)
+    recall = sum(recalls) / len(recalls)
+    f = ((1.0 + f_beta_sq) * precision * recall /
+         np.maximum(f_beta_sq * precision + recall, _EPS))
+    return CurveSet(CURVE_THRESHOLDS.copy(), precision, recall, f, f_beta_sq)
+
+
 def pr_curves(samples, f_beta_sq=CURVE_F_BETA_SQ):
     """Dataset-mean precision/recall of P >= tau over 256 thresholds; F from
     the means.  Precision of an empty prediction is defined as 1."""
     if not samples:
         raise ValueError("pr_curves: empty sample list")
-    sums = np.zeros((2, CURVE_THRESHOLDS.size))
+    precisions, recalls = [], []
     for pred, gt in samples:
         p, g = _prep(pred, gt)
         tp, fp = _counts_above(p, g, "left")
         nb = tp + fp
-        sums[0] += np.where(nb == 0, 1.0, tp / np.maximum(nb, 1))
-        sums[1] += tp / g.sum() if g.any() else 1.0
-    precisions, recalls = sums / len(samples)
-    f = ((1.0 + f_beta_sq) * precisions * recalls /
-         np.maximum(f_beta_sq * precisions + recalls, _EPS))
-    return CurveSet(CURVE_THRESHOLDS.copy(), precisions, recalls, f, f_beta_sq)
+        precisions.append(np.where(nb == 0, 1.0, tp / np.maximum(nb, 1)))
+        recalls.append(tp / g.sum() if g.any() else np.ones(nb.size))
+    return _mean_curve_set(precisions, recalls, f_beta_sq)
+
+
+def mean_curves(curve_sets, f_beta_sq=CURVE_F_BETA_SQ):
+    """The mean of per-image curves, ``pr_curves([(pred, gt)])`` each, in
+    the given order.  Bit-identical to ``pr_curves`` over all the pairs, but
+    needs only each image's 256-threshold curves, not its maps."""
+    if not curve_sets:
+        raise ValueError("mean_curves: empty curve list")
+    return _mean_curve_set([c.precision for c in curve_sets],
+                           [c.recall for c in curve_sets], f_beta_sq)
 
 
 # -- report ------------------------------------------------------------------

@@ -129,7 +129,10 @@ def predict_probability(model, image, target_size, dtype=np.float32):
 
 def evaluate(model, cfg: RunConfig, manifest_path, split="test",
              oracle_mode=False, workers=None):
-    """Evaluate on one manifest split; returns (MetricReport, CurveSet)."""
+    """Evaluate on one manifest split; returns (MetricReport, CurveSet).
+
+    Each image's maps are dropped once it is scored: only its metric record
+    and its precision/recall curves are kept, in record order."""
     model.eval()
     records = dataio.read_manifest(manifest_path)
     wanted = [r for r in records if r[3] == split]
@@ -154,7 +157,7 @@ def evaluate(model, cfg: RunConfig, manifest_path, split="test",
                     f"record {sample.id}: non-finite prediction")
         rec = metrics.evaluate_pair(prob, sample.mask[0], sample.id,
                                     cfg.eval.threshold)
-        return rec, (prob, sample.mask[0])
+        return rec, metrics.pr_curves([(prob, sample.mask[0])])
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -164,7 +167,7 @@ def evaluate(model, cfg: RunConfig, manifest_path, split="test",
 
     report = metrics.MetricReport(records=[r for r, _ in results],
                                   threshold=cfg.eval.threshold)
-    curves = metrics.pr_curves([pair for _, pair in results])
+    curves = metrics.mean_curves([curve for _, curve in results])
     return report, curves
 
 

@@ -22,16 +22,19 @@ def conv_grid(test):
     return pytest.mark.parametrize("stride", [1, 2])(test)
 
 
-def conv_case(shape, k, stride, padding, dilation, seed):
-    """x, weight, bias and an output weighting for one conv geometry, or a
-    skip when the dilated kernel outgrows the padded input."""
-    n, cin, h, w = shape
+def conv_case(shape, channels, k, stride, padding, dilation, seed):
+    """x, weight, bias and an output weighting for one conv geometry of an
+    (N, H, W) input and (Cin, Cout) channels, or a skip when the dilated
+    kernel outgrows the padded input."""
+    n, h, w = shape
+    cin, cout = channels
     if min(h, w) + 2 * padding < dilation * (k - 1) + 1:
         pytest.skip("kernel larger than padded input")
     oh = (h + 2 * padding - dilation * (k - 1) - 1) // stride + 1
     ow = (w + 2 * padding - dilation * (k - 1) - 1) // stride + 1
-    return (rand(shape, seed, grad=True), rand((3, cin, k, k), seed + 1, grad=True),
-            rand((3,), seed + 2, grad=True), rand((n, 3, oh, ow), seed + 3).data)
+    return (rand((n, cin, h, w), seed, grad=True),
+            rand((cout, cin, k, k), seed + 1, grad=True),
+            rand((cout,), seed + 2, grad=True), rand((n, cout, oh, ow), seed + 3).data)
 
 
 def tap_loop_conv2d(x, w, g, stride, padding, dilation):
@@ -51,6 +54,36 @@ def tap_loop_conv2d(x, w, g, stride, padding, dilation):
             gw[:, :, i, j] = np.einsum("noyx,ncyx->oc", g, xp[tap])
             gxp[tap] += np.einsum("noyx,oc->ncyx", g, w[:, :, i, j])
     return out, gxp[:, :, padding:padding + h, padding:padding + wd], gw
+
+
+def check_conv_gradients(channels, k, stride, padding, dilation, bias,
+                         hw=(12, 11)):
+    """Finite-difference check of a weighted sum of one conv's output; an
+    11-wide stride-2 input leaves remainders."""
+    x, w, b, r = conv_case((2,) + hw, channels, k, stride, padding, dilation,
+                           seed=3)
+    tensors = [x, w, b] if bias else [x, w]
+
+    def f(x, w, b=None):
+        out = conv2d(x, w, b, stride=stride, padding=padding, dilation=dilation)
+        return (out * r).sum()
+
+    check_gradients(f, tensors)
+
+
+def check_conv_tap_loop(hw, channels, k, stride, padding, dilation):
+    """One conv's output and gradients against `tap_loop_conv2d`, to 1e-12
+    of the largest reference entry."""
+    x, w, b, r = conv_case((2,) + hw, channels, k, stride, padding, dilation,
+                           seed=40)
+    out = conv2d(x, w, b, stride=stride, padding=padding, dilation=dilation)
+    backward((out * r).sum())
+    ref_out, ref_gx, ref_gw = tap_loop_conv2d(x.data, w.data, r, stride,
+                                              padding, dilation)
+    ref_out += b.data[None, :, None, None]
+    for got, ref in ((out.data, ref_out), (x.grad, ref_gx), (w.grad, ref_gw),
+                     (b.grad, r.sum(axis=(0, 2, 3)))):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------- conv2d
@@ -113,32 +146,58 @@ class TestConv2d:
         assert out.shape == (1, 3, oh, ow)
 
     # stride 2 and padding > dilation*(k-1) take the scatter gradient, the
-    # rest the correlation one; an 11-wide stride-2 input leaves remainders
+    # rest the correlation, by shifted windows where the junk rule allows
     @pytest.mark.parametrize("bias", [True, False])
     @pytest.mark.parametrize("k", [3, 1])
     @conv_grid
     def test_gradients(self, stride, padding, dilation, k, bias):
-        x, w, b, r = conv_case((2, 2, 12, 11), k, stride, padding, dilation, seed=3)
-        tensors = [x, w, b] if bias else [x, w]
+        check_conv_gradients((2, 3), k, stride, padding, dilation, bias)
 
-        def f(x, w, b=None):
-            out = conv2d(x, w, b, stride=stride, padding=padding, dilation=dilation)
-            return (out * r).sum()
-
-        check_gradients(f, tensors)
+    # 6 -> 2 takes shifted windows forward and the lowered correlation
+    # backward, 2 -> 6 the reverse, wherever the junk rule allows them
+    @pytest.mark.parametrize("channels", [(6, 2), (2, 6)])
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("k", [3, 1])
+    @conv_grid
+    def test_gradients_wide(self, stride, padding, dilation, k, bias, channels):
+        check_conv_gradients(channels, k, stride, padding, dilation, bias)
 
     @pytest.mark.parametrize("k", [3, 1])
     @conv_grid
     def test_matches_tap_loop_reference(self, stride, padding, dilation, k):
-        x, w, b, r = conv_case((2, 3, 21, 19), k, stride, padding, dilation, seed=40)
-        out = conv2d(x, w, b, stride=stride, padding=padding, dilation=dilation)
-        backward((out * r).sum())
-        ref_out, ref_gx, ref_gw = tap_loop_conv2d(x.data, w.data, r, stride,
-                                                  padding, dilation)
-        ref_out += b.data[None, :, None, None]
-        for got, ref in ((out.data, ref_out), (x.grad, ref_gx), (w.grad, ref_gw),
-                         (b.grad, r.sum(axis=(0, 2, 3)))):
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        check_conv_tap_loop((21, 19), (3, 3), k, stride, padding, dilation)
+
+    @pytest.mark.parametrize("channels", [(6, 2), (2, 6)])
+    @pytest.mark.parametrize("k", [3, 1])
+    @conv_grid
+    def test_matches_tap_loop_reference_wide(self, stride, padding, dilation,
+                                             k, channels):
+        check_conv_tap_loop((21, 19), channels, k, stride, padding, dilation)
+
+    # one case per planner branch: (Cin, Cout), (H, W), k, stride, padding,
+    # dilation, and the (forward, input gradient) methods it must take
+    PLAN_CASES = [
+        ((6, 2), (12, 11), 3, 1, 1, 1, ("shift", "correlate")),
+        ((2, 6), (12, 11), 3, 1, 1, 1, ("lower", "shift")),
+        ((3, 3), (12, 11), 3, 1, 1, 1, ("shift", "shift")),
+        ((3, 3), (12, 11), 3, 1, 3, 1, ("shift", "scatter")),
+        ((3, 3), (12, 11), 3, 2, 1, 1, ("lower", "scatter")),
+        ((3, 3), (12, 11), 1, 1, 0, 1, ("lower", "correlate")),
+        # dilation 8 on a narrow map: 16 junk columns against 10 outputs
+        ((3, 3), (9, 10), 3, 1, 8, 8, ("lower", "correlate")),
+        ((6, 2), (9, 10), 3, 1, 8, 8, ("lower", "correlate")),
+        ((2, 6), (9, 10), 3, 1, 8, 8, ("lower", "correlate")),
+    ]
+
+    @pytest.mark.parametrize("case", PLAN_CASES)
+    def test_plan_branches(self, case):
+        (cin, cout), (h, w), k, stride, padding, dilation, plan = case
+        assert engine._conv_plan(cin, cout, k, k, stride, padding, dilation,
+                                 w) == plan
+        for bias in (True, False):
+            check_conv_gradients((cin, cout), k, stride, padding, dilation,
+                                 bias, hw=(h, w))
+        check_conv_tap_loop((h, w), (cin, cout), k, stride, padding, dilation)
 
     def test_dilated_gradients(self):
         x = rand((1, 2, 9, 9), seed=6, grad=True)
@@ -189,6 +248,26 @@ class TestBatchNorm:
         x = Tensor(np.zeros((1, 3, 2, 2)))
         with pytest.raises(ValueError, match="gamma"):
             self._bn(x, Tensor(np.ones(2)), Tensor(np.zeros(2)))
+
+    def test_large_mean_float32_matches_float64(self):
+        # mean 1e4 and unit spread: a float32 mean and variance taken over
+        # the raw values lose about three digits to cancellation
+        rng = np.random.default_rng(11)
+        x32 = (1e4 + rng.normal(size=(4, 3, 8, 8))).astype(np.float32)
+        r = rng.normal(size=x32.shape)
+        got = {}
+        for dtype in (np.float32, np.float64):
+            x = Tensor(x32.astype(dtype), requires_grad=True)
+            gamma = Tensor(np.array([1.5, 0.5, 2.0], dtype), requires_grad=True)
+            beta = Tensor(np.array([0.25, -1.0, 0.0], dtype), requires_grad=True)
+            rm, rv = np.zeros(3), np.ones(3)
+            out = batch_norm(x, gamma, beta, rm, rv, training=True)
+            backward((out * Tensor(r.astype(dtype))).sum())
+            evaluated = batch_norm(x, gamma, beta, rm, rv, training=False)
+            got[dtype] = (out.data, x.grad, gamma.grad, beta.grad, rm, rv,
+                          evaluated.data)
+        for low, ref in zip(got[np.float32], got[np.float64]):
+            assert np.max(np.abs(low - ref)) <= 1e-6 * np.max(np.abs(ref))
 
     def test_eval_uses_running_stats(self):
         x = rand((2, 1, 3, 3), seed=10)

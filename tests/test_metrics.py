@@ -5,8 +5,9 @@ import metric_oracle
 from efanet import metrics
 from efanet.metrics import (CURVE_THRESHOLDS, EmptyGroundTruthError,
                             ImageRecord, MetricReport, dice_iou,
-                            e_measure_mean, evaluate_pair, pr_curves,
-                            s_measure, scale_bucket_report, weighted_fmeasure)
+                            e_measure_mean, evaluate_pair, mean_curves,
+                            pr_curves, s_measure, scale_bucket_report,
+                            weighted_fmeasure)
 
 
 def half_ones(size=16):
@@ -198,6 +199,16 @@ class TestCountsMatchOracle:
 
     def test_pr_curves_multi_sample(self):
         self._assert_equal_curves([(p, g) for _, p, g in ORACLE_CASES])
+
+    def test_mean_curves_bit_identical_to_pr_curves(self):
+        samples = [(p, g) for _, p, g in ORACLE_CASES]
+        got = mean_curves([pr_curves([pair]) for pair in samples])
+        want = pr_curves(samples)
+        for name in ("thresholds", "precision", "recall", "fmeasure"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), \
+                name
+        with pytest.raises(ValueError, match="empty"):
+            mean_curves([])
 
     def _assert_equal_curves(self, samples):
         got = pr_curves(samples)
