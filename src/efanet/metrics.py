@@ -29,7 +29,7 @@ class EmptyGroundTruthError(ValueError):
 
 def _prep(pred, gt):
     p = np.asarray(pred, dtype=np.float64)
-    g = np.asarray(gt, dtype=np.float64)
+    g = np.asarray(gt)
     while p.ndim > 2 and p.shape[0] == 1:
         p = p[0]
     while g.ndim > 2 and g.shape[0] == 1:
@@ -39,9 +39,11 @@ def _prep(pred, gt):
     if not np.isfinite(p).all():
         raise ValueError(f"{(~np.isfinite(p)).sum()} non-finite "
                          f"prediction value(s)")
-    if not np.all((g == 0) | (g == 1)):
-        raise ValueError("ground truth must be binary")
-    return p, g.astype(bool)
+    if g.dtype != bool:
+        if not np.all((g == 0) | (g == 1)):
+            raise ValueError("ground truth must be binary")
+        g = g.astype(bool)
+    return p, g
 
 
 def dice_iou(pred, gt, threshold=DEFAULT_BINARIZE_THRESHOLD):
@@ -59,11 +61,11 @@ def dice_iou(pred, gt, threshold=DEFAULT_BINARIZE_THRESHOLD):
 # -- structure measure -------------------------------------------------------
 
 
-def _s_object_part(pred, region):
-    if not region.any():
+def _s_object_part(vals):
+    if not vals.size:
         return 0.0
-    x = pred[region].mean()
-    sigma = pred[region].std()
+    x = vals.mean()
+    sigma = vals.std()
     return 2.0 * x / (x * x + 1.0 + sigma + _EPS)
 
 
@@ -116,8 +118,8 @@ def s_measure(pred, gt, alpha=0.5):
         return float(np.clip(1.0 - p.mean(), 0.0, 1.0))
     if y == 1:
         return float(np.clip(p.mean(), 0.0, 1.0))
-    o_fg = _s_object_part(p, g)
-    o_bg = _s_object_part(1.0 - p, ~g)
+    o_fg = _s_object_part(p[g])
+    o_bg = _s_object_part(1.0 - p[~g])
     s_obj = y * o_fg + (1.0 - y) * o_bg
     s_reg = _s_region(p, g)
     return float(np.clip(alpha * s_obj + (1.0 - alpha) * s_reg, 0.0, 1.0))
@@ -127,10 +129,11 @@ def s_measure(pred, gt, alpha=0.5):
 
 
 def _gauss_kernel(size=7, sigma=5.0):
+    """The normalised 1-D Gaussian; the 2-D smoothing kernel is its outer
+    product, so smoothing is one pass along each axis."""
     half = size // 2
     g = np.exp(-np.arange(-half, half + 1) ** 2 / (2.0 * sigma * sigma))
-    k = np.outer(g, g)
-    return k / k.sum()
+    return g / g.sum()
 
 
 def weighted_fmeasure(pred, gt, beta_sq=WEIGHTED_F_BETA_SQ):
@@ -145,18 +148,22 @@ def weighted_fmeasure(pred, gt, beta_sq=WEIGHTED_F_BETA_SQ):
         raise EmptyGroundTruthError("weighted F-measure undefined for empty G")
     dst, idx = ndimage.distance_transform_edt(~g, return_indices=True)
     err = np.abs(p - g)
-    err_t = err.copy()
-    err_t[~g] = err[idx[0][~g], idx[1][~g]]
+    # the nearest foreground pixel of a G pixel is the pixel itself
+    err_t = err[idx[0], idx[1]]
     # replicate borders: a constant error field must be a smoothing fixed
     # point, so an all-wrong prediction gets weighted recall exactly 0
-    smoothed = ndimage.correlate(err_t, _gauss_kernel(), mode="nearest")
+    k = _gauss_kernel()
+    smoothed = ndimage.correlate1d(
+        ndimage.correlate1d(err_t, k, axis=0, mode="nearest"),
+        k, axis=1, mode="nearest")
     min_err = np.where(g & (smoothed < err), smoothed, err)
-    weight = np.ones_like(p)
-    weight[~g] = 2.0 - np.exp(np.log(0.5) / 5.0 * dst[~g])
-    ew = min_err * weight
-    tp_w = g.sum() - ew[g].sum()
-    fp_w = ew[~g].sum()
-    recall = 1.0 - ew[g].mean()
+    # dst is 0 on G, so G's weight is exactly 1
+    ew = min_err * (2.0 - np.exp(np.log(0.5) / 5.0 * dst))
+    ng = g.sum()
+    ew_fg = ew[g].sum()
+    tp_w = ng - ew_fg
+    fp_w = ew.sum() - ew_fg
+    recall = 1.0 - ew_fg / ng
     precision = tp_w / (tp_w + fp_w + _EPS)
     f = ((1.0 + beta_sq) * precision * recall /
          (beta_sq * precision + recall + _EPS))
@@ -289,7 +296,7 @@ def evaluate_pair(pred, gt, sample_id="", threshold=DEFAULT_BINARIZE_THRESHOLD):
     except EmptyGroundTruthError:
         fw = float("nan")
     em = e_measure_mean(p, g)
-    ratio, bucket = polyp_scale_ratio(g.astype(np.float64))
+    ratio, bucket = polyp_scale_ratio(g)
     return ImageRecord(sample_id, dice, iou, s, fw, em, ratio, bucket)
 
 

@@ -177,8 +177,9 @@ def _render_blob(size, cy, cx, ry, rx, theta, wobble_amp, wobble_phase):
     return rho <= limit
 
 
-def synth_sample(rng, size, sample_id):
-    """One textured background + 1..3 high-contrast elliptical blobs."""
+def _synth_pair(rng, size):
+    """Image (1,H,W) and mask (1,H,W): one textured background + 1..3
+    high-contrast elliptical blobs."""
     base = rng.uniform(0.15, 0.35)
     background = base + _smooth_noise(rng, size, max(4, size // 8), 0.06)
 
@@ -214,9 +215,13 @@ def synth_sample(rng, size, sample_id):
         image[size // 2, size // 2] = min(base + 0.4, 0.95)
 
     image = image + rng.normal(0.0, 0.02, size=(size, size))
-    image = np.clip(image, 0.0, 1.0)[None]
-    m = mask.astype(np.float64)[None]
-    return SegSample(image=image, mask=m, edge=sobel_edge_gt(m),
+    return np.clip(image, 0.0, 1.0)[None], mask.astype(np.float64)[None]
+
+
+def synth_sample(rng, size, sample_id):
+    """One synthetic blob sample, with its edge map at radius 1."""
+    image, mask = _synth_pair(rng, size)
+    return SegSample(image=image, mask=mask, edge=sobel_edge_gt(mask),
                      id=sample_id)
 
 
@@ -238,24 +243,32 @@ def synth_blob_dataset(n, size, seed, out_dir, train_fraction=0.8):
     records = []
     for i in range(n):
         sid = f"blob{i:04d}"
-        sample = synth_sample(rng, size, sid)
+        image, mask = _synth_pair(rng, size)
         img_name = f"{sid}.pgm"
         mask_name = f"{sid}_mask.pgm"
-        dataio.write_pgm(os.path.join(out_dir, img_name), sample.image)
-        dataio.write_pgm(os.path.join(out_dir, mask_name), sample.mask)
+        dataio.write_pgm(os.path.join(out_dir, img_name), image)
+        dataio.write_pgm(os.path.join(out_dir, mask_name), mask)
         records.append((sid, img_name, mask_name, splits[i]))
     manifest_path = os.path.join(out_dir, "manifest.tsv")
     dataio.write_manifest(manifest_path, records)
     return manifest_path
 
 
-def load_sample(record, edge_dilation_radius=1):
-    """Load one manifest record into a SegSample."""
+def read_pair(record):
+    """Read one manifest record's image (C,H,W) and binary mask (1,H,W);
+    DataFormatError when they differ in size."""
     sid, img_path, mask_path, _split = record
     image = dataio.read_pnm(img_path)
     mask = dataio.read_mask(mask_path)
     if image.shape[1:] != mask.shape[1:]:
         raise dataio.DataFormatError(f"record {sid}: image {image.shape[1:]} "
                                      f"and mask {mask.shape[1:]} differ in size")
+    return image, mask
+
+
+def load_sample(record, edge_dilation_radius=1):
+    """Load one manifest record into a SegSample, with its edge target."""
+    image, mask = read_pair(record)
     return SegSample(image=image, mask=mask,
-                     edge=sobel_edge_gt(mask, edge_dilation_radius), id=sid)
+                     edge=sobel_edge_gt(mask, edge_dilation_radius),
+                     id=record[0])

@@ -146,18 +146,18 @@ def evaluate(model, cfg: RunConfig, manifest_path, split="test",
         workers = int(raw)
 
     def run_one(record):
-        sample = pipeline.load_sample(record, cfg.aug.edge_dilation_radius)
+        sid = record[0]
+        image, mask = pipeline.read_pair(record)
+        gt = mask[0]
         if oracle_mode:
-            prob = sample.mask[0].astype(np.float64)
+            prob = gt.astype(np.float64)
         else:
-            prob = predict_probability(model, sample.image,
-                                       cfg.aug.target_size, cfg.np_dtype())
+            prob = predict_probability(model, image, cfg.aug.target_size,
+                                       cfg.np_dtype())
             if not np.isfinite(prob).all():
-                raise NumericFailure(
-                    f"record {sample.id}: non-finite prediction")
-        rec = metrics.evaluate_pair(prob, sample.mask[0], sample.id,
-                                    cfg.eval.threshold)
-        return rec, metrics.pr_curves([(prob, sample.mask[0])])
+                raise NumericFailure(f"record {sid}: non-finite prediction")
+        rec = metrics.evaluate_pair(prob, gt, sid, cfg.eval.threshold)
+        return rec, metrics.pr_curves([(prob, gt)])
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

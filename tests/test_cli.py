@@ -414,6 +414,13 @@ class TestEvalPredictAnalyze:
                for name in TOY_EVAL_SHA256}
         assert got == TOY_EVAL_SHA256
 
+    def test_toy_eval_builds_no_edge_targets(self, tmp_path, monkeypatch):
+        def no_edges(*args, **kwargs):
+            raise AssertionError("an edge target was built")
+
+        monkeypatch.setattr(pipeline, "sobel_edge_gt", no_edges)
+        self.test_toy_eval_outputs_pinned(tmp_path, monkeypatch)
+
     def test_predict_outputs(self, tmp_path, dataset, checkpoint):
         records = dataio.read_manifest(dataset)
         out = str(tmp_path / "pred.pgm")

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
 import metric_oracle
 from efanet import metrics
@@ -129,6 +132,25 @@ class TestWeightedF:
         with pytest.raises(EmptyGroundTruthError):
             weighted_fmeasure(np.zeros((4, 4)), np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("kind", ["random", "quantised", "all-wrong",
+                                      "smoothed"])
+    @pytest.mark.parametrize("shape", [(8, 8), (16, 16), (7, 13), (64, 64),
+                                       (352, 352)])
+    def test_matches_oracle(self, shape, kind):
+        """The separable, whole-map computation gives the oracle's measure
+        (the 2-D kernel, each step restricted to its region)."""
+        rng = np.random.default_rng(sum(shape))
+        noise = ndimage.gaussian_filter(rng.random(shape), 2.0)
+        g = (noise > np.quantile(noise, 0.7)).astype(np.float64)
+        p = {"random": rng.random(shape),
+             "quantised": rng.integers(0, 256, shape) / 255.0,
+             "all-wrong": 1.0 - g,
+             "smoothed": ndimage.gaussian_filter(g, 1.5)}[kind]
+        got = weighted_fmeasure(p, g)
+        assert abs(got - metric_oracle.weighted_fmeasure(p, g)) <= 1e-12
+        if kind == "all-wrong":
+            assert got == 0.0
+
 
 class TestEMeasure:
     def test_exact_map(self):
@@ -230,6 +252,27 @@ class TestNonFinitePrediction:
                 fn(p, g)
         with pytest.raises(ValueError, match="1 non-finite"):
             pr_curves([(g, g), (p, g)])
+
+
+class TestGroundTruthInput:
+    @pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: c[0])
+    def test_bool_gt_scores_as_float_gt(self, case):
+        _, p, g = case
+        np.testing.assert_equal(
+            dataclasses.astuple(evaluate_pair(p, g.astype(bool), "x")),
+            dataclasses.astuple(evaluate_pair(p, g, "x")))
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan])
+    def test_non_binary_float_gt_rejected(self, bad):
+        p = np.full((8, 8), 0.3)
+        g = half_ones(8)
+        g[3, 1] = bad
+        for fn in (dice_iou, s_measure, weighted_fmeasure, e_measure_mean,
+                   evaluate_pair):
+            with pytest.raises(ValueError, match="binary"):
+                fn(p, g)
+        with pytest.raises(ValueError, match="binary"):
+            pr_curves([(p, g)])
 
 
 class TestRangeProperty:

@@ -251,11 +251,22 @@ class TestSynth:
         assert set(np.unique(s.mask)) <= {0.0, 1.0}
         assert s.id == records[0][0]
 
+    def test_dataset_records_hold_synth_samples(self, tmp_path):
+        manifest = synth_blob_dataset(3, 32, 5, str(tmp_path / "d"))
+        rng = np.random.default_rng(5)
+        for record in dataio.read_manifest(manifest):
+            want = synth_sample(rng, 32, record[0])
+            image, mask = pipeline.read_pair(record)
+            np.testing.assert_array_equal(mask, want.mask)
+            np.testing.assert_allclose(image, want.image, atol=0.5 / 255)
+
     def test_load_sample_rejects_image_mask_size_mismatch(self, tmp_path):
         manifest = synth_blob_dataset(1, 32, 5, str(tmp_path / "d"))
         (record,) = dataio.read_manifest(manifest)
         mask_path = record[2]
         dataio.write_pgm(mask_path, dataio.read_mask(mask_path)[:, :, :16])
-        with pytest.raises(dataio.DataFormatError, match=rf"record {record[0]}: "
-                           r"image \(32, 32\) and mask \(32, 16\)"):
-            pipeline.load_sample(record)
+        for read in (pipeline.read_pair, pipeline.load_sample):
+            with pytest.raises(dataio.DataFormatError,
+                               match=rf"record {record[0]}: "
+                               r"image \(32, 32\) and mask \(32, 16\)"):
+                read(record)
