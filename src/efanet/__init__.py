@@ -2,7 +2,7 @@
 minimal numpy autodiff engine, with evaluation metrics, a synthetic dataset
 generator and a train/eval/predict/analyze CLI."""
 
-from .backbone import Backbone, BackboneConfig, FeaturePyramid
+from .backbone import Backbone, BackboneConfig
 from .config import RunConfig
 from .engine import Adam, Tensor, backward
 from .model import EFANet, LossBreakdown, ModelConfig, ModelOutput, total_loss
@@ -12,7 +12,6 @@ __all__ = [
     "Backbone",
     "BackboneConfig",
     "EFANet",
-    "FeaturePyramid",
     "LossBreakdown",
     "ModelConfig",
     "ModelOutput",

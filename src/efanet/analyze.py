@@ -83,10 +83,9 @@ def count_params(model):
     return dict(per_layer)
 
 
-def analyze_model(config: ModelConfig, resolution, batch=1, model=None):
-    """Build (or reuse) a model and measure its cost at `resolution`."""
-    if model is None:
-        model = EFANet(config, seed=0, dtype=np.float32)
+def analyze_model(config: ModelConfig, resolution, batch=1):
+    """Build a model and measure its cost at `resolution`."""
+    model = EFANet(config, seed=0, dtype=np.float32)
     model.eval()
     rec = FlopRecorder()
     engine.set_flop_recorder(rec)

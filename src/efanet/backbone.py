@@ -1,4 +1,4 @@
-"""Multi-level feature extractor producing the five-level pyramid F1..F5.
+"""Multi-level feature extractor: its forward returns the list [F1, ..., F5].
 
 A small residual CNN stands in for a heavyweight encoder: the only contract
 downstream modules rely on is that level i has stride 2^i and channel count
@@ -7,7 +7,7 @@ channels_per_level[i-1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,16 +28,6 @@ class BackboneConfig:
             raise ValueError("backbone needs exactly 5 levels")
         if min(self.channels_per_level + (self.input_channels, self.stem_channels)) < 1:
             raise ValueError("channel counts must be strictly positive")
-
-
-@dataclass
-class FeaturePyramid:
-    """Backbone features F1..F5 at strides 2, 4, 8, 16, 32."""
-    levels: list = field(default_factory=list)
-
-    def __getitem__(self, i):
-        """1-based access matching the F1..F5 naming."""
-        return self.levels[i - 1]
 
 
 class Backbone(Module):
@@ -70,7 +60,7 @@ class Backbone(Module):
         for level in self.levels:
             x = level(x)
             feats.append(x)
-        return FeaturePyramid(feats)
+        return feats
 
 
 class _Level(Module):

@@ -13,7 +13,7 @@ import sys
 from . import dataio, pipeline
 from .analyze import analyze_model
 from .checkpoint import CheckpointError, load_checkpoint
-from .config import ConfigError, load_config
+from .config import load_config
 from .train import NumericFailure, evaluate, predict_probability, train, \
     write_eval_outputs
 
@@ -113,8 +113,6 @@ def _cmd_predict(args):
 def _cmd_analyze(args):
     cfg = load_config(args.config)
     res = args.res if args.res is not None else cfg.aug.target_size
-    if res % 32:
-        raise ConfigError(f"resolution {res} must be divisible by 32")
     report = analyze_model(cfg.model, res)
     sys.stdout.write(report.render())
     return EXIT_OK

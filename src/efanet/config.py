@@ -35,6 +35,15 @@ class OptimConfig:
             if getattr(self, key) < 1:
                 raise ConfigError(f"optim.{key} must be >= 1, "
                                   f"got {getattr(self, key)}")
+        # lr = 0 is allowed: it leaves the model at its init
+        if not 0 <= self.lr < np.inf:
+            raise ConfigError(f"optim.lr must be in [0, inf), got {self.lr}")
+        if not 0 < self.lr_decay < np.inf:
+            raise ConfigError(f"optim.lr_decay must be in (0, inf), got {self.lr_decay}")
+        for key in ("beta1", "beta2"):  # Adam divides by 1 - beta**t
+            if not 0 <= getattr(self, key) < 1:
+                raise ConfigError(f"optim.{key} must be in [0,1), "
+                                  f"got {getattr(self, key)}")
 
 
 @dataclass

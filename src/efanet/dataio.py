@@ -131,15 +131,15 @@ def write_pgm(path, values):
         f.write(data.tobytes())
 
 
-def read_mask(path, threshold=0.5):
-    """Read a PGM mask and binarize at `threshold` of the max value."""
+def read_mask(path):
+    """Read a PGM mask and binarize at half its max value."""
     arr = read_pnm(path)
     if arr.shape[0] != 1:
         raise DataFormatError(f"{path}: mask must be grayscale")
     peak = arr.max()
     if peak == 0:
         return np.zeros_like(arr)
-    return (arr >= threshold * peak).astype(np.float64)
+    return (arr >= 0.5 * peak).astype(np.float64)
 
 
 def write_tensor(path, array):

@@ -429,13 +429,11 @@ def _conv_plan(cin, cout, kh, kw, stride, padding, dilation, w):
     Shifted windows skip the copy of each input into kh*kw taps.  They pay
     for it with Wp - OW = d*(kw-1) junk columns per output row, and with
     kh*kw GEMMs of K = C instead of one of K = C*kh*kw.  So they are used
-    where the copy costs most, on the side whose input is the wider one
-    (Cin >= Cout for the forward, Cout >= Cin for the input gradient), and
-    only while the junk is at most a quarter of the output width."""
+    only while the junk is at most a quarter of the output width, and for
+    the input gradient only where its input, g, is the wider one (Cout >= Cin)."""
     junk = dilation * (kw - 1)
     shiftable = stride == 1 and kh * kw > 1
-    fwd = "shift" if (shiftable and cout <= cin
-                      and 4 * junk <= w + 2 * padding - junk) else "lower"
+    fwd = "shift" if shiftable and 4 * junk <= w + 2 * padding - junk else "lower"
     if stride != 1 or min(dilation * (kh - 1), junk) < padding:
         return fwd, "scatter"
     return fwd, "shift" if shiftable and cin <= cout and 4 * junk <= w else "correlate"
@@ -534,8 +532,10 @@ def _channel_sum(a, b=None):
     return rows.sum(axis=0, dtype=np.float64)
 
 
-def batch_norm(x, gamma, beta, running_mean, running_var, training,
-               momentum=0.1, eps=1e-5):
+BN_MOMENTUM, BN_EPS = 0.1, 1e-5  # running-average weight of a batch; variance floor
+
+
+def batch_norm(x, gamma, beta, running_mean, running_var, training):
     """Per-channel batch normalization over (N,H,W).
 
     ``running_mean``/``running_var`` are plain numpy buffers updated in place
@@ -566,17 +566,17 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
         resid = _channel_sum(out) / m
         var = np.maximum(_channel_sum(out, out) / m - resid * resid, 0.0)
         mu = center + resid
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mu
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var
     else:
         center = running_mean.astype(x.dtype)
         out = np.subtract(xs, center[:, None])
         resid = running_mean - center
         var = running_var
 
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     scale = gamma.data * inv_std
     out *= scale.astype(x.dtype)[:, None]
     out += (beta.data - resid * scale).astype(x.dtype)[:, None]
@@ -633,8 +633,8 @@ def resize_bilinear_np(arr, out_h, out_w, align_corners=True):
     return np.swapaxes(np.swapaxes(tmp, -1, -2) @ mh.T, -1, -2)
 
 
-def bilinear_resize(x, out_h, out_w, align_corners=True):
-    """Differentiable bilinear resize of an NCHW tensor."""
+def bilinear_resize(x, out_h, out_w):
+    """Differentiable bilinear resize of an NCHW tensor, corners aligned."""
     if out_h < 1 or out_w < 1:
         raise ValueError("bilinear_resize: output size must be >= 1")
     if x.data.ndim != 4:
@@ -642,12 +642,12 @@ def bilinear_resize(x, out_h, out_w, align_corners=True):
     h, w = x.shape[2], x.shape[3]
     if (out_h, out_w) == (h, w):
         return _make_node(x.data.copy(), (x,), lambda g: (g,))
-    out = resize_bilinear_np(x.data, out_h, out_w, align_corners)
+    out = resize_bilinear_np(x.data, out_h, out_w)
     _record_flops("resize", out.size)
 
     def bwd(g):
-        mh = _resize_matrix(h, out_h, align_corners, x.dtype)
-        mw = _resize_matrix(w, out_w, align_corners, x.dtype)
+        mh = _resize_matrix(h, out_h, True, x.dtype)
+        mw = _resize_matrix(w, out_w, True, x.dtype)
         t = np.swapaxes(np.swapaxes(g, -1, -2) @ mh, -1, -2)
         return (np.ascontiguousarray(t @ mw),)
 

@@ -125,14 +125,13 @@ class BatchNorm2d(Module):
 
 
 class ConvBNReLU(Module):
-    """conv -> batch norm -> ReLU, the network's standard sequential block."""
+    """Conv ("same" padding for odd k) -> batch norm -> ReLU, the main block."""
 
-    def __init__(self, cin, cout, k, rng, stride=1, padding=None, dilation=1,
+    def __init__(self, cin, cout, k, rng, stride=1, dilation=1,
                  dtype=np.float64):
         super().__init__()
-        if padding is None:
-            padding = dilation * (k - 1) // 2  # "same" for odd k
-        self.conv = Conv2d(cin, cout, k, rng, stride=stride, padding=padding,
+        self.conv = Conv2d(cin, cout, k, rng, stride=stride,
+                           padding=dilation * (k - 1) // 2,
                            dilation=dilation, dtype=dtype)
         self.bn = BatchNorm2d(cout, dtype=dtype)
 

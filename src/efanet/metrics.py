@@ -18,8 +18,9 @@ from .pipeline import polyp_scale_ratio
 _EPS = 1e-8
 
 CURVE_THRESHOLDS = np.arange(256) / 255.0
-CURVE_F_BETA_SQ = 0.3      # curve F-measure convention
+CURVE_F_BETA_SQ = 0.3      # curve F-measure convention (Achanta et al., 2009)
 WEIGHTED_F_BETA_SQ = 1.0   # weighted F-measure convention
+S_ALPHA = 0.5              # S-measure object/region balance (Fan et al., 2017)
 DEFAULT_BINARIZE_THRESHOLD = 0.5
 
 
@@ -109,9 +110,9 @@ def _s_region(pred, gt):
     return w1 * q1 + w2 * q2 + w3 * q3 + w4 * q4
 
 
-def s_measure(pred, gt, alpha=0.5):
-    """Structure measure: alpha * object similarity + (1-alpha) * region
-    similarity; mean-based fallback for all-background / all-foreground G."""
+def s_measure(pred, gt):
+    """Structure measure: S_ALPHA * object + (1-S_ALPHA) * region similarity;
+    mean-based fallback for all-background / all-foreground G."""
     p, g = _prep(pred, gt)
     y = g.mean()
     if y == 0:
@@ -122,7 +123,7 @@ def s_measure(pred, gt, alpha=0.5):
     o_bg = _s_object_part(1.0 - p[~g])
     s_obj = y * o_fg + (1.0 - y) * o_bg
     s_reg = _s_region(p, g)
-    return float(np.clip(alpha * s_obj + (1.0 - alpha) * s_reg, 0.0, 1.0))
+    return float(np.clip(S_ALPHA * s_obj + (1.0 - S_ALPHA) * s_reg, 0.0, 1.0))
 
 
 # -- weighted F-measure ------------------------------------------------------
@@ -136,7 +137,7 @@ def _gauss_kernel(size=7, sigma=5.0):
     return g / g.sum()
 
 
-def weighted_fmeasure(pred, gt, beta_sq=WEIGHTED_F_BETA_SQ):
+def weighted_fmeasure(pred, gt):
     """Weighted F-measure with distance-aware error weighting.
 
     False positives far from the object are discounted via an exponential
@@ -165,8 +166,8 @@ def weighted_fmeasure(pred, gt, beta_sq=WEIGHTED_F_BETA_SQ):
     fp_w = ew.sum() - ew_fg
     recall = 1.0 - ew_fg / ng
     precision = tp_w / (tp_w + fp_w + _EPS)
-    f = ((1.0 + beta_sq) * precision * recall /
-         (beta_sq * precision + recall + _EPS))
+    f = ((1.0 + WEIGHTED_F_BETA_SQ) * precision * recall /
+         (WEIGHTED_F_BETA_SQ * precision + recall + _EPS))
     return float(np.clip(f, 0.0, 1.0))
 
 
@@ -211,20 +212,19 @@ class CurveSet:
     precision: np.ndarray
     recall: np.ndarray
     fmeasure: np.ndarray
-    f_beta_sq: float = CURVE_F_BETA_SQ
 
 
-def _mean_curve_set(precisions, recalls, f_beta_sq):
+def _mean_curve_set(precisions, recalls):
     """Mean per-image precision and recall rows, summed in the given order;
-    F from the means."""
+    F (beta^2 = CURVE_F_BETA_SQ) from the means."""
     precision = sum(precisions) / len(precisions)
     recall = sum(recalls) / len(recalls)
-    f = ((1.0 + f_beta_sq) * precision * recall /
-         np.maximum(f_beta_sq * precision + recall, _EPS))
-    return CurveSet(CURVE_THRESHOLDS.copy(), precision, recall, f, f_beta_sq)
+    f = ((1.0 + CURVE_F_BETA_SQ) * precision * recall /
+         np.maximum(CURVE_F_BETA_SQ * precision + recall, _EPS))
+    return CurveSet(CURVE_THRESHOLDS.copy(), precision, recall, f)
 
 
-def pr_curves(samples, f_beta_sq=CURVE_F_BETA_SQ):
+def pr_curves(samples):
     """Dataset-mean precision/recall of P >= tau over 256 thresholds; F from
     the means.  Precision of an empty prediction is defined as 1."""
     if not samples:
@@ -236,17 +236,17 @@ def pr_curves(samples, f_beta_sq=CURVE_F_BETA_SQ):
         nb = tp + fp
         precisions.append(np.where(nb == 0, 1.0, tp / np.maximum(nb, 1)))
         recalls.append(tp / g.sum() if g.any() else np.ones(nb.size))
-    return _mean_curve_set(precisions, recalls, f_beta_sq)
+    return _mean_curve_set(precisions, recalls)
 
 
-def mean_curves(curve_sets, f_beta_sq=CURVE_F_BETA_SQ):
+def mean_curves(curve_sets):
     """The mean of per-image curves, ``pr_curves([(pred, gt)])`` each, in
     the given order.  Bit-identical to ``pr_curves`` over all the pairs, but
     needs only each image's 256-threshold curves, not its maps."""
     if not curve_sets:
         raise ValueError("mean_curves: empty curve list")
     return _mean_curve_set([c.precision for c in curve_sets],
-                           [c.recall for c in curve_sets], f_beta_sq)
+                           [c.recall for c in curve_sets])
 
 
 # -- report ------------------------------------------------------------------
@@ -281,9 +281,6 @@ class MetricReport:
             "E_mean": float(np.mean([r.e_mean for r in self.records])),
             "count": len(self.records),
         }
-
-    def bucket_report(self):
-        return scale_bucket_report(self.records)
 
 
 def evaluate_pair(pred, gt, sample_id="", threshold=DEFAULT_BINARIZE_THRESHOLD):
@@ -341,7 +338,7 @@ def write_report_tsv(path, report: MetricReport):
 
 def write_curves_tsv(path, curves: CurveSet):
     with open(path, "w", encoding="utf-8") as f:
-        f.write("# f_beta_sq\t%g\n" % curves.f_beta_sq)
+        f.write("# f_beta_sq\t%g\n" % CURVE_F_BETA_SQ)
         f.write("threshold\tprecision\trecall\tfmeasure\n")
         for t, p, r, fm in zip(curves.thresholds, curves.precision,
                                curves.recall, curves.fmeasure):

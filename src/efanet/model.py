@@ -35,6 +35,8 @@ class ModelConfig:
         if not rates or min(rates) < 1 or len(set(rates)) != len(rates):
             raise ValueError("model.dilation_rates must hold one or more distinct "
                              f"rates >= 1, got {rates}")
+        if not 0 <= self.beta_edge < np.inf:
+            raise ValueError(f"model.beta_edge must be in [0, inf), got {self.beta_edge}")
 
 
 @dataclass
@@ -178,9 +180,9 @@ class EFANet(Module):
         # ops of the model's own code are booked to "decoder"
         with engine.scoped("decoder"):
             n, c, h, w = image.shape
-            pyramid = self.backbone(image)
-            scaled = [scm(pyramid[i]) for i, scm in enumerate(self.scms, 1)]
-            fe, se = self.egm(pyramid[1], pyramid[2], pyramid[5], h, w)
+            feats = self.backbone(image)
+            scaled = [scm(f) for scm, f in zip(self.scms, feats)]
+            fe, se = self.egm(feats[0], feats[1], feats[4], h, w)
 
             # top-down cascade: D5 = T5, D_i = CFM_i(Up(D_{i+1}), T_i)
             d = scaled[4]

@@ -40,11 +40,17 @@ class AugConfig:
 
     def __post_init__(self):
         if not (0.0 <= self.flip_prob <= 1.0):
-            raise ValueError("flip_prob must be in [0,1]")
-        if any(r <= 0 for r in self.scale_ratios):
-            raise ValueError("scale ratios must be positive")
-        if self.target_size % 32:
-            raise ValueError("target_size must be divisible by 32")
+            raise ValueError("aug.flip_prob must be in [0,1]")
+        if not (self.scale_ratios and all(0 < r < np.inf for r in self.scale_ratios)):
+            raise ValueError("aug.scale_ratios must be finite, positive and non-empty")
+        if not (self.rotation_degrees or self.free_angle_rotation):
+            raise ValueError("aug.rotation_degrees is empty and free angles are off")
+        if not 0.0 < self.crop_fraction_min <= self.crop_fraction_max <= 1.0:
+            raise ValueError("need 0 < aug.crop_fraction_min <= "
+                             "aug.crop_fraction_max <= 1")
+        if self.target_size % 32 or self.target_size < 32:
+            raise ValueError(f"aug.target_size must be divisible by 32 and "
+                             f">= 32, got {self.target_size}")
         if self.edge_dilation_radius < 0:
             raise ValueError(f"aug.edge_dilation_radius must be >= 0, "
                              f"got {self.edge_dilation_radius}")

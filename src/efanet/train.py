@@ -176,4 +176,4 @@ def write_eval_outputs(out_dir, report, curves):
     metrics.write_report_tsv(os.path.join(out_dir, "report.tsv"), report)
     metrics.write_curves_tsv(os.path.join(out_dir, "curves.tsv"), curves)
     metrics.write_bucket_tsv(os.path.join(out_dir, "buckets.tsv"),
-                             report.bucket_report())
+                             metrics.scale_bucket_report(report.records))

@@ -58,7 +58,7 @@ def pr_curves(samples, f_beta_sq=CURVE_F_BETA_SQ):
     recalls /= len(samples)
     f = ((1.0 + f_beta_sq) * precisions * recalls /
          np.maximum(f_beta_sq * precisions + recalls, _EPS))
-    return CurveSet(CURVE_THRESHOLDS.copy(), precisions, recalls, f, f_beta_sq)
+    return CurveSet(CURVE_THRESHOLDS.copy(), precisions, recalls, f)
 
 
 def _gauss_kernel(size=7, sigma=5.0):

@@ -32,19 +32,19 @@ class TestStrideContract:
     def test_resolutions_and_channels(self, size):
         net = make()
         net.eval()
-        pyramid = net(_image(size))
-        for i in range(1, 6):
-            stride = 2 ** i
-            feat = pyramid[i]
-            assert feat.shape == (1, small_config().channels_per_level[i - 1],
-                                  size // stride, size // stride), f"level {i}"
+        feats = net(_image(size))
+        assert len(feats) == 5
+        for i, feat in enumerate(feats):
+            stride = 2 ** (i + 1)
+            assert feat.shape == (1, small_config().channels_per_level[i],
+                                  size // stride, size // stride), f"level {i + 1}"
 
     def test_rectangular_input(self):
         net = make()
         net.eval()
         rng = np.random.default_rng(1)
-        pyramid = net(_tensor(rng.random((1, 1, 64, 96))))
-        assert pyramid[3].shape[2:] == (8, 12)
+        feats = net(_tensor(rng.random((1, 1, 64, 96))))
+        assert feats[2].shape[2:] == (8, 12)
 
     @pytest.mark.parametrize("size", [16, 48, 33])
     def test_bad_sizes_rejected(self, size):
@@ -77,7 +77,7 @@ class TestDeterminism:
         net = make(seed=3)
         net.eval()
         x = _image(32)
-        np.testing.assert_array_equal(net(x)[5].data, net(x)[5].data)
+        np.testing.assert_array_equal(net(x)[4].data, net(x)[4].data)
 
 
 class TestInit:
@@ -92,9 +92,9 @@ class TestInit:
         net.eval()
         rng = np.random.default_rng(5)
         x = rng.random((2, 1, 32, 32))
-        joint = net(_tensor(x))[5].data
-        solo0 = net(_tensor(x[:1]))[5].data
-        solo1 = net(_tensor(x[1:]))[5].data
+        joint = net(_tensor(x))[4].data
+        solo0 = net(_tensor(x[:1]))[4].data
+        solo1 = net(_tensor(x[1:]))[4].data
         np.testing.assert_allclose(joint[0], solo0[0], atol=1e-10)
         np.testing.assert_allclose(joint[1], solo1[0], atol=1e-10)
 

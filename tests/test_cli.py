@@ -93,13 +93,28 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             parse_config(f"{key} = 0\n")
 
-    @pytest.mark.parametrize("key, value", [("eval.threshold", "7"),
-                                            ("eval.threshold", "-0.5"),
-                                            ("eval.threshold", "nan"),
-                                            ("aug.edge_dilation_radius", "-3")])
+    @pytest.mark.parametrize("key, value", [
+        ("eval.threshold", "7"), ("eval.threshold", "-0.5"),
+        ("eval.threshold", "nan"), ("aug.edge_dilation_radius", "-3"),
+        ("aug.target_size", "0"), ("aug.target_size", "-64"),
+        ("aug.scale_ratios", ""), ("aug.scale_ratios", "1,inf"),
+        ("aug.scale_ratios", "nan"), ("aug.rotation_degrees", ""),
+        ("aug.crop_fraction_min", "1.5"), ("aug.crop_fraction_min", "-1"),
+        ("aug.crop_fraction_min", "0"), ("aug.crop_fraction_max", "0.5"),
+        ("aug.crop_fraction_max", "1.5"),
+        ("optim.lr", "-1"), ("optim.lr", "nan"),
+        ("optim.lr", "inf"), ("optim.lr_decay", "-1"),
+        ("optim.lr_decay", "0"), ("optim.beta1", "1"), ("optim.beta1", "-0.1"),
+        ("optim.beta2", "1"), ("model.beta_edge", "-5"),
+        ("model.beta_edge", "nan"), ("model.beta_edge", "inf")])
     def test_out_of_range_value_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
             parse_config(f"{key} = {value}\n")
+
+    def test_free_angles_need_no_angle_list(self):
+        cfg = parse_config("aug.rotation_degrees =\n"
+                           "aug.free_angle_rotation = true\n")
+        assert cfg.aug.rotation_degrees == ()
 
     @pytest.mark.parametrize("rates", ["", "0,4,8", "2,-1", "2,2"])
     def test_bad_dilation_rates_rejected(self, rates):
@@ -395,8 +410,9 @@ class TestEvalPredictAnalyze:
         assert os.path.exists(os.path.join(out, "curves.tsv"))
         assert os.path.exists(os.path.join(out, "buckets.tsv"))
 
-    def test_toy_eval_outputs_pinned(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EFANET_THREADS", "1")
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_toy_eval_outputs_pinned(self, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("EFANET_THREADS", threads)
         data = tmp_path / "data"
         assert cli.main(["synth", "--n", "40", "--size", "64", "--seed", "5",
                          "--out", str(data)]) == 0
@@ -419,7 +435,7 @@ class TestEvalPredictAnalyze:
             raise AssertionError("an edge target was built")
 
         monkeypatch.setattr(pipeline, "sobel_edge_gt", no_edges)
-        self.test_toy_eval_outputs_pinned(tmp_path, monkeypatch)
+        self.test_toy_eval_outputs_pinned(tmp_path, monkeypatch, "1")
 
     def test_predict_outputs(self, tmp_path, dataset, checkpoint):
         records = dataio.read_manifest(dataset)
@@ -495,6 +511,20 @@ class TestExitCodes:
         assert cli.main(["train", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "model.dilation_rates" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [("aug.target_size", "0"),
+                                            ("aug.rotation_degrees", "")])
+    def test_out_of_range_aug_value_is_2(self, tmp_path, dataset, capsys,
+                                         key, value):
+        cfg = tiny_run_config(tmp_path, manifest=dataset)
+        cfg_path = tmp_path / "a.cfg"
+        save_config(cfg_path, cfg)
+        with open(cfg_path, "a", encoding="utf-8") as f:
+            f.write(f"{key} = {value}\n")
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert not os.path.exists(os.path.join(cfg.train.out_dir, "final.efac"))
 
     def test_batch_larger_than_split_is_2(self, tmp_path, dataset, capsys):
         cfg = tiny_run_config(tmp_path, manifest=dataset)

@@ -376,7 +376,8 @@ class TestReport:
         curves = pr_curves([(g, g)])
         metrics.write_report_tsv(tmp_path / "r.tsv", report)
         metrics.write_curves_tsv(tmp_path / "c.tsv", curves)
-        metrics.write_bucket_tsv(tmp_path / "b.tsv", report.bucket_report())
+        metrics.write_bucket_tsv(tmp_path / "b.tsv",
+                                 scale_bucket_report(report.records))
         lines = (tmp_path / "c.tsv").read_text().splitlines()
         assert len(lines) == 2 + 256  # comment + header + one row per threshold
         assert (tmp_path / "r.tsv").read_text().splitlines()[-1].startswith(
