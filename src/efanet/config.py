@@ -44,6 +44,9 @@ class OptimConfig:
             if not 0 <= getattr(self, key) < 1:
                 raise ConfigError(f"optim.{key} must be in [0,1), "
                                   f"got {getattr(self, key)}")
+        # Adam divides m by sqrt(v) + eps, both 0 where all gradients were 0
+        if not 0 < self.eps < np.inf:
+            raise ConfigError(f"optim.eps must be in (0, inf), got {self.eps}")
 
 
 @dataclass
@@ -53,6 +56,10 @@ class TrainConfig:
     out_dir: str = "runs/default"
     dtype: str = "float32"
     multiscale: bool = True
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"train.seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -137,8 +144,8 @@ def serialize_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_config(text, base=None) -> RunConfig:
-    cfg = base if base is not None else RunConfig()
+def parse_config(text) -> RunConfig:
+    cfg = RunConfig()
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:

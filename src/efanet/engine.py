@@ -8,7 +8,9 @@ reverse topological order and accumulates gradients into the leaves that were
 created with ``requires_grad=True``.  A graph can be backpropagated once:
 ``backward`` frees each node's parents and closure as it consumes them, so
 the activations a closure holds are released during the pass, and a second
-pass through a consumed node raises ``ValueError``.
+pass through a consumed node raises ``ValueError``.  The engine writes only
+into arrays it allocated itself, and the only such array is a leaf's
+``.grad``; gradients are passed on by reference and summed into new arrays.
 
 ``conv2d`` picks per conv and direction between lowering each sample's
 padded input to (Cin*kh*kw, OH*OW) columns for one GEMM, and, for stride-1
@@ -183,8 +185,7 @@ def _as_tensor(x, dtype=None):
 
 def _make_node(data, parents, backward_fn):
     out = Tensor(data)
-    if _state.grad_enabled and any(p.requires_grad or p._backward_fn is not None
-                                   for p in parents):
+    if _state.grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -269,7 +270,7 @@ def sum_all(x):
     _record_flops("elementwise", x.size)
 
     def bwd(g):
-        return (np.broadcast_to(g, x.shape).astype(x.dtype, copy=True),)
+        return (np.broadcast_to(g, x.shape),)
 
     return _make_node(data, (x,), bwd)
 
@@ -280,7 +281,7 @@ def mean_all(x):
     _record_flops("elementwise", n)
 
     def bwd(g):
-        return (np.broadcast_to(g / n, x.shape).astype(x.dtype, copy=True),)
+        return (np.broadcast_to(g / n, x.shape),)
 
     return _make_node(data, (x,), bwd)
 
@@ -294,7 +295,7 @@ def global_avg_pool(x):
     _record_flops("pool", n * c)
 
     def bwd(g):
-        return (np.broadcast_to(g / (h * w), x.shape).astype(x.dtype, copy=True),)
+        return (np.broadcast_to(g / (h * w), x.shape),)
 
     return _make_node(data, (x,), bwd)
 
@@ -641,7 +642,7 @@ def bilinear_resize(x, out_h, out_w):
         raise ValueError(f"bilinear_resize expects a 4-D tensor, got shape {x.shape}")
     h, w = x.shape[2], x.shape[3]
     if (out_h, out_w) == (h, w):
-        return _make_node(x.data.copy(), (x,), lambda g: (g,))
+        return _make_node(x.data, (x,), lambda g: (g,))
     out = resize_bilinear_np(x.data, out_h, out_w)
     _record_flops("resize", out.size)
 
@@ -702,22 +703,20 @@ def backward(loss):
         if node._backward_fn is None:
             if g is not None and node.requires_grad:
                 if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += g
+                    node.grad = np.array(g, dtype=node.dtype)
+                else:
+                    node.grad += g
             continue
         parents, fn = node._parents, node._backward_fn
         node._parents, node._backward_fn = (), _consumed
         if g is None:
             continue
         for parent, pg in zip(parents, fn(g)):
-            if not (parent.requires_grad or parent._backward_fn is not None):
+            if not parent.requires_grad:
                 continue
+            pg = pg.astype(parent.dtype, copy=False)
             acc = flowing.get(id(parent))
-            if acc is None:
-                # copy: backward closures may alias the upstream gradient
-                flowing[id(parent)] = np.array(pg, dtype=parent.dtype)
-            else:
-                acc += pg
+            flowing[id(parent)] = pg if acc is None else acc + pg
 
 
 # -- optimizer ---------------------------------------------------------------

@@ -212,17 +212,15 @@ def _bce_map(logits, target):
     return relu(s) - s * g + engine.log(engine.exp(-abs_s) + 1.0)
 
 
-def boundary_weights(mask, kernel=None):
+def boundary_weights(mask):
     """Boundary-emphasis weight map 1 + 5*|meanpool_k(G) - G|.
 
     Kernel size scales with resolution: nearest odd to 31 * H / 352, min 3.
     """
     g = np.asarray(mask, dtype=np.float64)
-    h = g.shape[-2]
-    if kernel is None:
-        kernel = int(round(31.0 * h / 352.0))
-        kernel += (kernel + 1) % 2
-        kernel = max(kernel, 3)
+    kernel = int(round(31.0 * g.shape[-2] / 352.0))
+    kernel += (kernel + 1) % 2
+    kernel = max(kernel, 3)
     pooled = ndimage.uniform_filter(g, size=(1,) * (g.ndim - 2) + (kernel, kernel),
                                     mode="nearest")
     return 1.0 + 5.0 * np.abs(pooled - g)

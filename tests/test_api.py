@@ -11,7 +11,8 @@ import inspect
 import pytest
 
 import efanet
-from efanet import analyze, backbone, dataio, engine, layers, metrics
+from efanet import (analyze, backbone, config, dataio, engine, layers,
+                    metrics, model)
 
 SIGNATURES = [
     (metrics.s_measure, "(pred, gt)"),
@@ -27,6 +28,8 @@ SIGNATURES = [
     (analyze.analyze_model, "(config: 'ModelConfig', resolution, batch=1)"),
     (dataio.read_mask, "(path)"),
     (backbone.Backbone.forward, "(self, image)"),
+    (config.parse_config, "(text) -> 'RunConfig'"),
+    (model.boundary_weights, "(mask)"),
 ]
 
 

@@ -105,8 +105,10 @@ class TestConfig:
         ("optim.lr", "-1"), ("optim.lr", "nan"),
         ("optim.lr", "inf"), ("optim.lr_decay", "-1"),
         ("optim.lr_decay", "0"), ("optim.beta1", "1"), ("optim.beta1", "-0.1"),
-        ("optim.beta2", "1"), ("model.beta_edge", "-5"),
-        ("model.beta_edge", "nan"), ("model.beta_edge", "inf")])
+        ("optim.beta2", "1"), ("optim.eps", "0"), ("optim.eps", "-1e-8"),
+        ("optim.eps", "nan"), ("optim.eps", "inf"), ("model.beta_edge", "-5"),
+        ("model.beta_edge", "nan"), ("model.beta_edge", "inf"),
+        ("train.seed", "-1")])
     def test_out_of_range_value_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
             parse_config(f"{key} = {value}\n")
@@ -257,7 +259,9 @@ class TestCorruptCheckpoint:
         (b"train.dtype = float32", b"train.dtype = float3x"),
         (b"model.common_width = 4", b"model.common_width = 0"),
         (b"model.cfm_reduction = 2", b"model.cfm_reduction = 0"),
-        (b"backbone.stem_channels = 2", b"backbone.stem_channels = x")])
+        (b"backbone.stem_channels = 2", b"backbone.stem_channels = x"),
+        (b"optim.eps = 1e-08", b"optim.eps = 0e-08"),
+        (b"train.seed = 7", b"train.seed =-7")])
     def test_config_echo_that_does_not_parse(self, tmp_path, blob, old, new):
         assert blob.count(old) == 1
         self._rejects(tmp_path, blob.replace(old, new), match="config echo")
@@ -525,6 +529,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
         assert not os.path.exists(os.path.join(cfg.train.out_dir, "final.efac"))
+
+    def test_negative_seed_is_2(self, tmp_path, dataset, capsys):
+        cfg = tiny_run_config(tmp_path, manifest=dataset)
+        cfg_path = tmp_path / "s.cfg"
+        save_config(cfg_path, cfg)
+        with open(cfg_path, "a", encoding="utf-8") as f:
+            f.write("train.seed = -1\n")
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "train.seed" in err and "Traceback" not in err
+        assert not os.path.exists(os.path.join(cfg.train.out_dir, "train_log.tsv"))
 
     def test_batch_larger_than_split_is_2(self, tmp_path, dataset, capsys):
         cfg = tiny_run_config(tmp_path, manifest=dataset)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -498,6 +500,30 @@ class TestBackward:
         x = rand((3,), seed=31, grad=True)
         backward((x * x + x * x).sum())
         np.testing.assert_allclose(x.grad, 4 * x.data)
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))),
+                             ids=lambda order: "".join(map(str, order)))
+    def test_shared_gradient_fans_in(self, order):
+        # add hands one gradient array to both a and b; whichever order the
+        # terms reach them in, neither sum may write into the other's
+        a = rand((4,), seed=38, grad=True)
+        b = rand((4,), seed=39, grad=True)
+        s = a + b
+        terms = [(s * s).sum(), (a * 3.0).sum(), (b * 5.0).sum()]
+        loss = terms[order[0]] + terms[order[1]] + terms[order[2]]
+        backward(loss)
+        np.testing.assert_array_equal(a.grad, 2 * s.data + 3)
+        np.testing.assert_array_equal(b.grad, 2 * s.data + 5)
+
+    def test_leaf_grad_is_its_own_array(self):
+        # x.sum() passes x a read-only broadcast view of the loss gradient
+        x = rand((2, 3), seed=40, grad=True)
+        backward(x.sum())
+        grad = x.grad
+        assert grad.flags.writeable and grad.flags.owndata
+        backward(x.sum())
+        assert x.grad is grad
+        np.testing.assert_array_equal(grad, 2 * np.ones(x.shape))
 
     def test_composite_graph_gradcheck(self):
         x = rand((1, 2, 8, 8), seed=32, scale=0.5, grad=True)

@@ -3,6 +3,7 @@ import pkgutil
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 import efanet
 from efanet import model as M
@@ -140,14 +141,13 @@ class TestLoss:
 
     def test_boundary_weight_kernel_scaling(self):
         # nearest odd to 31 * H / 352, floor 3
-        mask352 = np.zeros((1, 1, 352, 352))
-        mask32 = np.zeros((1, 1, 32, 32))
-        mask352[0, 0, 100:200, 100:200] = 1.0
-        mask32[0, 0, 10:20, 10:20] = 1.0
-        w352 = boundary_weights(mask352)
-        w32 = boundary_weights(mask32)
-        np.testing.assert_allclose(w352, boundary_weights(mask352, kernel=31))
-        np.testing.assert_allclose(w32, boundary_weights(mask32, kernel=3))
+        for size, lo, hi, kernel in [(352, 100, 200, 31), (32, 10, 20, 3)]:
+            g = np.zeros((1, 1, size, size))
+            g[0, 0, lo:hi, lo:hi] = 1.0
+            pooled = ndimage.uniform_filter(g, size=(1, 1, kernel, kernel),
+                                            mode="nearest")
+            np.testing.assert_allclose(boundary_weights(g),
+                                       1.0 + 5.0 * np.abs(pooled - g))
 
     def test_zero_logits_closed_form(self):
         # all-ones mask: w = 1 everywhere, so the loss reduces to
