@@ -1,7 +1,7 @@
 """Command-line interface: train / eval / predict / analyze / synth.
 
 Exit codes: 0 success, 2 config or manifest error, 3 checkpoint error,
-4 numeric failure (a non-finite training loss or evaluated prediction).
+4 numeric failure (a non-finite training loss or prediction).
 """
 
 from __future__ import annotations
@@ -81,12 +81,8 @@ def _cmd_eval(args):
     out_dir = args.out or os.path.join(
         os.path.dirname(os.path.abspath(args.checkpoint)),
         f"eval_{args.split}")
-    try:
-        report, curves = evaluate(model, cfg, args.manifest, args.split,
-                                  oracle_mode=args.oracle_mode)
-    except NumericFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    report, curves = evaluate(model, cfg, args.manifest, args.split,
+                              oracle_mode=args.oracle_mode)
     write_eval_outputs(out_dir, report, curves)
     agg = report.aggregate()
     print(f"evaluated {agg['count']} images: "
@@ -141,6 +137,9 @@ def main(argv=None):
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT
+    except NumericFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     # config, manifest and data format errors are all ValueErrors
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

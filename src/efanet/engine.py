@@ -1,15 +1,22 @@
 """Minimal dense-tensor engine with reverse-mode automatic differentiation.
 
 Tensors wrap numpy arrays (typically NCHW feature maps, but scalars and other
-ranks are allowed for loss plumbing).  Every differentiable op builds a node
-holding references to its parents and a closure that maps the upstream
-gradient to per-parent gradients; ``backward`` replays the recorded graph in
-reverse topological order and accumulates gradients into the leaves that were
-created with ``requires_grad=True``.  A graph can be backpropagated once:
-``backward`` frees each node's parents and closure as it consumes them, so
-the activations a closure holds are released during the pass, and a second
-pass through a consumed node raises ``ValueError``.  The engine writes only
-into arrays it allocated itself, and the only such array is a leaf's
+ranks are allowed for loss plumbing).  A tensor an op computed with gradient
+links to a graph node that holds its parent links, the closure mapping the
+upstream gradient to per-parent gradients, and its gradient's dtype; a leaf
+is linked as itself.  No node points at a tensor, so the forward frees an
+intermediate array when it drops the tensor, unless a closure keeps it; a
+closure keeps only what its formula reads:
+
+    add, sub, concat_channels, bilinear_resize,
+    global_avg_pool, sum_all, mean_all      shapes and dtype
+    relu, sigmoid, exp                      their output
+    log, mul, div, conv2d, batch_norm       their inputs' arrays
+
+``backward`` replays the graph in reverse topological order into the
+requires_grad leaves, freeing each node's parents and closure as it goes; a
+second pass through a consumed node raises ``ValueError``.  The engine writes
+only into arrays it allocated itself, and the only such array is a leaf's
 ``.grad``; gradients are passed on by reference and summed into new arrays.
 
 ``conv2d`` picks per conv and direction between lowering each sample's
@@ -105,10 +112,20 @@ class scoped:
         return False
 
 
-class Tensor:
-    """A numpy array plus optional gradient and autodiff bookkeeping."""
+class _Node:
+    """A graph vertex: links to the parents (a parent's node, a requires_grad
+    leaf itself, or None), the backward closure and the gradient's dtype."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("parents", "fn", "dtype")
+
+    def __init__(self, parents, fn, dtype):
+        self.parents, self.fn, self.dtype = parents, fn, dtype
+
+
+class Tensor:
+    """A numpy array plus optional gradient and a link to its graph node."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -117,8 +134,17 @@ class Tensor:
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward_fn = None
+        self._node = None
+
+    @property
+    def _backward_fn(self):
+        """The node's backward closure, None off the graph or once consumed;
+        tracers wrap it."""
+        return None if self._node is None else self._node.fn
+
+    @_backward_fn.setter
+    def _backward_fn(self, fn):
+        self._node.fn = fn
 
     # -- basic introspection -------------------------------------------------
 
@@ -187,8 +213,8 @@ def _make_node(data, parents, backward_fn):
     out = Tensor(data)
     if _state.grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+        out._node = _Node(tuple(p._node or (p if p.requires_grad else None)
+                                for p in parents), backward_fn, out.dtype)
     return out
 
 
@@ -205,9 +231,9 @@ def _unbroadcast(grad, shape):
 # -- elementwise ops ---------------------------------------------------------
 
 
-def _binary(name, fn, grads):
+def _binary(name, fn, grads, keeps_inputs):
     """An elementwise op of two broadcastable tensors; `grads(g, x, y)` gives
-    the gradients of both inputs at the broadcast shape."""
+    both gradients at the broadcast shape (x, y None unless `keeps_inputs`)."""
 
     def op(x, y):
         x, y = _as_tensor(x), _as_tensor(y)
@@ -216,10 +242,12 @@ def _binary(name, fn, grads):
         except ValueError:
             raise ValueError(f"{name}: shapes {x.shape} and {y.shape} not broadcastable")
         _record_flops("elementwise", data.size)
+        xs, ys = x.shape, y.shape
+        xd, yd = (x.data, y.data) if keeps_inputs else (None, None)
 
         def bwd(g):
-            gx, gy = grads(g, x.data, y.data)
-            return _unbroadcast(gx, x.shape), _unbroadcast(gy, y.shape)
+            gx, gy = grads(g, xd, yd)
+            return _unbroadcast(gx, xs), _unbroadcast(gy, ys)
 
         return _make_node(data, (x, y), bwd)
 
@@ -227,20 +255,22 @@ def _binary(name, fn, grads):
     return op
 
 
-add = _binary("add", operator.add, lambda g, x, y: (g, g))
-sub = _binary("sub", operator.sub, lambda g, x, y: (g, -g))
-mul = _binary("mul", operator.mul, lambda g, x, y: (g * y, g * x))
+add = _binary("add", operator.add, lambda g, x, y: (g, g), False)
+sub = _binary("sub", operator.sub, lambda g, x, y: (g, -g), False)
+mul = _binary("mul", operator.mul, lambda g, x, y: (g * y, g * x), True)
 div = _binary("div", operator.truediv,
-              lambda g, x, y: (g / y, -g * x / (y * y)))
+              lambda g, x, y: (g / y, -g * x / (y * y)), True)
 
 
-def _unary(name, fn, grad):
-    """An elementwise op of one tensor; `grad(g, x, out)` gives its gradient."""
+def _unary(name, fn, grad, keeps_output):
+    """An elementwise op of one tensor; `grad(g, a)` gives its gradient from
+    its output `a` if `keeps_output`, from its input `a` otherwise."""
 
     def op(x):
         data = fn(x.data)
         _record_flops("elementwise", data.size)
-        return _make_node(data, (x,), lambda g: (grad(g, x.data, data),))
+        kept = data if keeps_output else x.data
+        return _make_node(data, (x,), lambda g: (grad(g, kept),))
 
     op.__name__ = op.__qualname__ = name
     return op
@@ -256,10 +286,10 @@ def _sigmoid(d):
     return out
 
 
-relu = _unary("relu", lambda x: np.maximum(x, 0), lambda g, x, out: g * (x > 0))
-sigmoid = _unary("sigmoid", _sigmoid, lambda g, x, out: g * out * (1.0 - out))
-exp = _unary("exp", np.exp, lambda g, x, out: g * out)
-log = _unary("log", np.log, lambda g, x, out: g / x)
+relu = _unary("relu", lambda x: np.maximum(x, 0), lambda g, out: g * (out > 0), True)
+sigmoid = _unary("sigmoid", _sigmoid, lambda g, out: g * out * (1.0 - out), True)
+exp = _unary("exp", np.exp, lambda g, out: g * out, True)
+log = _unary("log", np.log, lambda g, x: g / x, False)
 
 
 # -- reductions --------------------------------------------------------------
@@ -268,20 +298,21 @@ log = _unary("log", np.log, lambda g, x, out: g / x)
 def sum_all(x):
     data = np.asarray(x.data.sum(), dtype=x.dtype)
     _record_flops("elementwise", x.size)
+    shape = x.shape
 
     def bwd(g):
-        return (np.broadcast_to(g, x.shape),)
+        return (np.broadcast_to(g, shape),)
 
     return _make_node(data, (x,), bwd)
 
 
 def mean_all(x):
-    n = x.size
+    n, shape = x.size, x.shape
     data = np.asarray(x.data.mean(), dtype=x.dtype)
     _record_flops("elementwise", n)
 
     def bwd(g):
-        return (np.broadcast_to(g / n, x.shape),)
+        return (np.broadcast_to(g / n, shape),)
 
     return _make_node(data, (x,), bwd)
 
@@ -290,12 +321,12 @@ def global_avg_pool(x):
     """Spatial mean: (N,C,H,W) -> (N,C,1,1)."""
     if x.data.ndim != 4:
         raise ValueError(f"global_avg_pool expects a 4-D tensor, got shape {x.shape}")
-    n, c, h, w = x.shape
+    shape = n, c, h, w = x.shape
     data = x.data.mean(axis=(2, 3), keepdims=True)
     _record_flops("pool", n * c)
 
     def bwd(g):
-        return (np.broadcast_to(g / (h * w), x.shape),)
+        return (np.broadcast_to(g / (h * w), shape),)
 
     return _make_node(data, (x,), bwd)
 
@@ -493,25 +524,25 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
         out += bias.data[None, :, None, None]
     _record_flops("conv", 2 * n * cout * cin * kh * kw * oh * ow)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
     qh, qw = dilation * (kh - 1) - padding, dilation * (kw - 1) - padding
+    xd, wd, biased = x.data, weight.data, bias is not None
 
     def bwd(g):
         if fwd_method == "shift":
-            gw = _shift_weight_grad(x.data, g, kh, kw, padding, dilation)
+            gw = _shift_weight_grad(xd, g, kh, kw, padding, dilation)
         else:
             gmat = g.reshape(n, cout, oh * ow)
-            cols, _, _ = _lower(_pad(x.data, padding, padding), kh, kw, stride,
+            cols, _, _ = _lower(_pad(xd, padding, padding), kh, kw, stride,
                                 dilation)
             gw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(
-                weight.shape)
+                wd.shape)
             del cols
-        flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        flipped = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         if gx_method == "shift":
             gx = _shift_conv(g, flipped, qh, qw, dilation)
         elif gx_method == "correlate":
             gcols, _, _ = _lower(_pad(g, qh, qw), kh, kw, 1, dilation)
-            gx = np.matmul(flipped.reshape(cin, cout * kh * kw), gcols).reshape(x.shape)
+            gx = np.matmul(flipped.reshape(cin, cout * kh * kw), gcols).reshape(xd.shape)
         else:
             gcols = np.matmul(wmat.T, g.reshape(n, cout, oh * ow)).reshape(
                 n, cin, kh, kw, oh, ow)
@@ -519,11 +550,11 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
             for i, j, (ys, xs) in _taps(kh, kw, oh, ow, stride, dilation):
                 gxp[:, :, ys, xs] += gcols[:, :, i, j]
             gx = np.ascontiguousarray(gxp[:, :, padding:padding + h, padding:padding + w])
-        if bias is None:
+        if not biased:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))
 
-    return _make_node(out, parents, bwd)
+    return _make_node(out, (x, weight, bias) if biased else (x, weight), bwd)
 
 
 def _channel_sum(a, b=None):
@@ -558,7 +589,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training):
             f"batch_norm: gamma/beta shapes {gamma.shape}/{beta.shape} "
             f"do not match C={c}")
     _record_flops("elementwise", x.size)
-    xs = x.data.reshape(n, c, -1)
+    shape, xs = x.shape, x.data.reshape(n, c, -1)
     m = n * xs.shape[2]
 
     if training:
@@ -587,19 +618,18 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training):
         d = np.subtract(xs, center[:, None])
         gbeta = _channel_sum(g3)
         ggamma = inv_std * (_channel_sum(g3, d) - resid * gbeta)
-        gx = g3 * scale.astype(x.dtype)[:, None]
+        gx = g3 * scale.astype(xs.dtype)[:, None]
         if training:
             # gx = scale * (g - mean(g) - xhat * mean(g * xhat)), with
             # xhat = (d - resid) * inv_std: one scale of g plus one of d
             # plus one shift per channel
             coef = scale * inv_std * ggamma / m
-            d *= (-coef).astype(x.dtype)[:, None]
+            d *= (-coef).astype(xs.dtype)[:, None]
             gx += d
-            gx += (coef * resid - scale * gbeta / m).astype(x.dtype)[:, None]
-        return (gx.reshape(x.shape), ggamma.astype(gamma.dtype),
-                gbeta.astype(beta.dtype))
+            gx += (coef * resid - scale * gbeta / m).astype(xs.dtype)[:, None]
+        return gx.reshape(shape), ggamma, gbeta
 
-    return _make_node(out.reshape(x.shape), (x, gamma, beta), bwd)
+    return _make_node(out.reshape(shape), (x, gamma, beta), bwd)
 
 
 def _resize_matrix(n_in, n_out, align_corners, dtype):
@@ -640,15 +670,15 @@ def bilinear_resize(x, out_h, out_w):
         raise ValueError("bilinear_resize: output size must be >= 1")
     if x.data.ndim != 4:
         raise ValueError(f"bilinear_resize expects a 4-D tensor, got shape {x.shape}")
-    h, w = x.shape[2], x.shape[3]
+    h, w, dtype = x.shape[2], x.shape[3], x.dtype
     if (out_h, out_w) == (h, w):
         return _make_node(x.data, (x,), lambda g: (g,))
     out = resize_bilinear_np(x.data, out_h, out_w)
     _record_flops("resize", out.size)
 
     def bwd(g):
-        mh = _resize_matrix(h, out_h, True, x.dtype)
-        mw = _resize_matrix(w, out_w, True, x.dtype)
+        mh = _resize_matrix(h, out_h, True, dtype)
+        mw = _resize_matrix(w, out_w, True, dtype)
         t = np.swapaxes(np.swapaxes(g, -1, -2) @ mh, -1, -2)
         return (np.ascontiguousarray(t @ mw),)
 
@@ -656,14 +686,6 @@ def bilinear_resize(x, out_h, out_w):
 
 
 # -- backward pass -----------------------------------------------------------
-
-
-_CONSUMED = "backward: graph already consumed (a graph can be backpropagated once)"
-
-
-def _consumed(g):
-    """Backward closure left on a node after its graph was backpropagated."""
-    raise ValueError(_CONSUMED)
 
 
 def backward(loss):
@@ -678,41 +700,44 @@ def backward(loss):
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
 
+    root = loss._node or loss
     topo = []
     visiting = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
-        node, processed = stack.pop()
+        link, processed = stack.pop()
         if processed:
-            topo.append(node)
+            topo.append(link)
             continue
-        if id(node) in visiting:
+        if id(link) in visiting:
             continue
-        if node._backward_fn is _consumed:
-            raise ValueError(_CONSUMED)
-        visiting.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in visiting:
-                stack.append((p, False))
+        visiting.add(id(link))
+        stack.append((link, True))
+        if isinstance(link, Tensor):
+            continue
+        if link.fn is None:
+            raise ValueError("backward: graph already consumed "
+                             "(a graph can be backpropagated once)")
+        stack.extend((p, False) for p in link.parents
+                     if p is not None and id(p) not in visiting)
 
-    flowing = {id(loss): np.ones_like(loss.data)}
+    flowing = {id(root): np.ones_like(loss.data)}
     while topo:
-        node = topo.pop()
-        g = flowing.pop(id(node), None)
-        if node._backward_fn is None:
-            if g is not None and node.requires_grad:
-                if node.grad is None:
-                    node.grad = np.array(g, dtype=node.dtype)
+        link = topo.pop()
+        g = flowing.pop(id(link), None)
+        if isinstance(link, Tensor):
+            if g is not None and link.requires_grad:
+                if link.grad is None:
+                    link.grad = np.array(g, dtype=link.dtype)
                 else:
-                    node.grad += g
+                    link.grad += g
             continue
-        parents, fn = node._parents, node._backward_fn
-        node._parents, node._backward_fn = (), _consumed
+        parents, fn = link.parents, link.fn
+        link.parents, link.fn = (), None
         if g is None:
             continue
         for parent, pg in zip(parents, fn(g)):
-            if not parent.requires_grad:
+            if parent is None:
                 continue
             pg = pg.astype(parent.dtype, copy=False)
             acc = flowing.get(id(parent))

@@ -115,12 +115,15 @@ def train(cfg: RunConfig):
 
 
 def predict_probability(model, image, target_size, dtype=np.float32):
-    """Sigmoid of the finest side output, resized back to the input size."""
+    """Sigmoid of the finest side output, resized back to the input size;
+    raises NumericFailure if any logit is NaN or infinite."""
     c, h, w = image.shape
     resized = pipeline.resize_image(image, target_size, target_size)
     with no_grad():
         out = model(Tensor(resized[None].astype(dtype)))
         logits = out.side_logits[0].data[0, 0]
+    if not np.isfinite(logits).all():
+        raise NumericFailure("non-finite prediction")
     prob = 1.0 / (1.0 + np.exp(-logits.astype(np.float64)))
     if (h, w) != prob.shape:
         prob = pipeline.resize_image(prob, h, w)
@@ -152,10 +155,11 @@ def evaluate(model, cfg: RunConfig, manifest_path, split="test",
         if oracle_mode:
             prob = gt.astype(np.float64)
         else:
-            prob = predict_probability(model, image, cfg.aug.target_size,
-                                       cfg.np_dtype())
-            if not np.isfinite(prob).all():
-                raise NumericFailure(f"record {sid}: non-finite prediction")
+            try:
+                prob = predict_probability(model, image, cfg.aug.target_size,
+                                           cfg.np_dtype())
+            except NumericFailure as exc:
+                raise NumericFailure(f"record {sid}: {exc}") from None
         rec = metrics.evaluate_pair(prob, gt, sid, cfg.eval.threshold)
         return rec, metrics.pr_curves([(prob, gt)])
 

@@ -583,15 +583,19 @@ class TestExitCodes:
         assert "EFANET_THREADS" in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_non_finite_prediction_in_eval_is_4(self, tmp_path, dataset,
-                                                capsys, monkeypatch):
-        monkeypatch.setenv("EFANET_THREADS", "1")
+    @staticmethod
+    def _nan_checkpoint(path):
         cfg = RunConfig()
         cfg.model = toy_config()
         model = EFANet(cfg.model, seed=0, dtype=np.float32)
         model.parameters()[0].data.reshape(-1)[0] = np.nan
+        save_checkpoint(path, model, cfg)
+
+    def test_non_finite_prediction_in_eval_is_4(self, tmp_path, dataset,
+                                                capsys, monkeypatch):
+        monkeypatch.setenv("EFANET_THREADS", "1")
         ckpt = tmp_path / "nan.efac"
-        save_checkpoint(ckpt, model, cfg)
+        self._nan_checkpoint(ckpt)
         out = tmp_path / "eval"
         assert cli.main(["eval", "--checkpoint", str(ckpt),
                          "--manifest", dataset, "--out", str(out)]) == 4
@@ -601,6 +605,19 @@ class TestExitCodes:
         assert f"record {test_id}: non-finite prediction" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_non_finite_prediction_in_predict_is_4(self, tmp_path, dataset,
+                                                   capsys):
+        ckpt = tmp_path / "nan.efac"
+        self._nan_checkpoint(ckpt)
+        out, raw = tmp_path / "pred.pgm", tmp_path / "pred.eft"
+        image = dataio.read_manifest(dataset)[0][1]
+        assert cli.main(["predict", "--checkpoint", str(ckpt), "--image",
+                         image, "--out", str(out), "--raw-out", str(raw)]) == 4
+        err = capsys.readouterr().err
+        assert "error: non-finite prediction" in err
+        assert "Traceback" not in err
+        assert not out.exists() and not raw.exists()
 
     def test_bad_analyze_resolution_is_2(self, tmp_path):
         cfg_path = tmp_path / "a.cfg"

@@ -1,4 +1,5 @@
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 from efanet import engine
 from efanet.engine import (Adam, Tensor, backward, batch_norm,
-                           bilinear_resize, concat_channels, conv2d,
-                           global_avg_pool, relu, sigmoid)
-from gradcheck import check_gradients
+                           bilinear_resize, concat_channels, conv2d, exp,
+                           global_avg_pool, mean_all, relu, sigmoid)
+from gradcheck import check_gradients, max_rel_error, numerical_gradient
 
 
 def rand(shape, seed=0, scale=1.0, grad=False):
@@ -487,7 +488,7 @@ class TestBackward:
         h = x * x
         loss = h.sum()
         backward(loss)
-        assert loss._parents == () and h._parents == ()
+        assert loss._node.parents == () and h._node.parents == ()
         with pytest.raises(ValueError, match="graph already consumed"):
             backward(loss)
         with pytest.raises(ValueError, match="graph already consumed"):
@@ -537,6 +538,53 @@ class TestBackward:
             return (h * h).sum()
 
         check_gradients(f, [x, w1, w2])
+
+    @staticmethod
+    def _watched_graph(x, y, w, gamma, beta, refs):
+        """A loss whose intermediates are dropped on return; `refs` gets a
+        weakref to the array that owns each watched output's data."""
+        def watch(name, t):
+            a = t.data
+            while a.base is not None:
+                a = a.base
+            refs[name] = weakref.ref(a)
+            return t
+
+        s = watch("sub", watch("add", x + y) - y)
+        r = watch("relu", relu(watch("concat", concat_channels([s, y]))))
+        h = conv2d(r, w, padding=1)
+        b = batch_norm(h, gamma, beta, np.zeros(4), np.ones(4), training=True)
+        u = watch("resize_same", bilinear_resize(watch("batch_norm", b), 6, 6))
+        d = watch("resize", bilinear_resize(u, 9, 9))
+        p = watch("global_avg_pool", global_avg_pool(d))
+        return mean_all(exp(d)) + sigmoid(p).sum()
+
+    def test_closures_keep_only_what_backward_reads(self):
+        # add, sub, concat, resize and pooling keep shapes only, batch norm
+        # keeps its input, not its output; relu keeps its output, which the
+        # conv after it keeps as its input, until backward frees both
+        tensors = [rand((2, 3, 6, 6), seed=41, grad=True),
+                   rand((2, 3, 6, 6), seed=42, grad=True),
+                   rand((4, 6, 3, 3), seed=43, scale=0.3, grad=True),
+                   Tensor(np.linspace(0.5, 1.5, 4), requires_grad=True),
+                   rand((4,), seed=44, scale=0.1, grad=True)]
+        refs = {}
+        loss = self._watched_graph(*tensors, refs)
+        kept = refs.pop("relu")
+        assert sorted(refs) == ["add", "batch_norm", "concat",
+                                "global_avg_pool", "resize", "resize_same",
+                                "sub"]
+        assert {name: ref() is None for name, ref in refs.items()} == \
+            dict.fromkeys(refs, True)
+        assert kept() is not None
+        backward(loss)
+        assert kept() is None
+
+        def f(*args):
+            return self._watched_graph(*args, {})
+
+        for t in tensors:
+            assert max_rel_error(t.grad, numerical_gradient(f, tensors, t)) < 1e-4
 
 
 # ----------------------------------------------------------------- adam

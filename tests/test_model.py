@@ -1,5 +1,7 @@
+import gc
 import importlib
 import pkgutil
+import weakref
 
 import numpy as np
 import pytest
@@ -247,6 +249,32 @@ class TestEndToEndGradient:
             ana = p.grad.reshape(-1)[i]
             denom = max(1.0, abs(num), abs(ana))
             assert abs(num - ana) / denom < 1e-3, name
+
+
+class TestNoReferenceCycles:
+    @pytest.mark.parametrize("backpropagated", [True, False])
+    def test_dropped_model_freed_by_refcount(self, backpropagated):
+        # a graph node that pointed back at its tensor would leave every
+        # dropped model and activation to the cyclic collector
+        mask = np.zeros((2, 1, 32, 32))
+        mask[:, 0, 8:24, 8:24] = 1.0
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            net = make(seed=3)
+            net.train()
+            out = net(image(32, seed=4, n=2))
+            loss = total_loss(out, mask, mask, net.config)
+            if backpropagated:
+                backward(loss.total)
+            param = weakref.ref(net.parameters()[0].data)
+            activation = weakref.ref(out.edge_feature.data)
+            del net, out, loss
+            assert param() is None and activation() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestTrainingSmoke:
