@@ -89,10 +89,9 @@ def load_checkpoint(path):
         echo = r.text("config echo")
         try:
             cfg = parse_config(echo)
-            dtype = cfg.np_dtype()
         except ValueError as exc:
             raise CheckpointError(f"{path}: bad config echo: {exc}") from None
-        model = EFANet(cfg.model, seed=cfg.train.seed, dtype=dtype)
+        model = EFANet(cfg.model, seed=cfg.train.seed, dtype=cfg.np_dtype())
         stored = _read_records(r, "tensor")
         (has_opt,) = r.unpack("<B", "optimizer flag")
         opt_state = _read_records(r, "optimizer tensor") if has_opt else None

@@ -18,6 +18,9 @@ class ConfigError(ValueError):
     pass
 
 
+_DTYPES = {"float32": np.float32, "float64": np.float64}
+
+
 @dataclass
 class OptimConfig:
     lr: float = 1e-4
@@ -60,6 +63,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"train.seed must be >= 0, got {self.seed}")
+        if self.dtype not in _DTYPES:
+            raise ConfigError(f"train.dtype must be one of {', '.join(_DTYPES)}, "
+                              f"got {self.dtype!r}")
 
 
 @dataclass
@@ -81,11 +87,7 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def np_dtype(self):
-        if self.train.dtype == "float32":
-            return np.float32
-        if self.train.dtype == "float64":
-            return np.float64
-        raise ConfigError(f"unsupported dtype {self.train.dtype!r}")
+        return _DTYPES[self.train.dtype]
 
 
 def _fmt(value):

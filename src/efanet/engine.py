@@ -19,13 +19,15 @@ second pass through a consumed node raises ``ValueError``.  The engine writes
 only into arrays it allocated itself, and the only such array is a leaf's
 ``.grad``; gradients are passed on by reference and summed into new arrays.
 
-``conv2d`` picks per conv and direction between lowering each sample's
+``conv2d`` runs its forward, and the input gradient of a stride-1 conv, as
+one correlation routine, ``_correlate``; the gradient is the upstream
+gradient correlated with the flipped kernel whose Cin/Cout axes are swapped.
+One rule, ``_shifts``, picks for each call between lowering each sample's
 padded input to (Cin*kh*kw, OH*OW) columns for one GEMM, and, for stride-1
 kernels larger than 1x1, one GEMM per tap over shifted windows of the
-flattened padded input, which copies nothing but the padding.  Its backward
+flattened padded input, which copies nothing but the padding.  The backward
 keeps no columns: it reads the saved input again (recompute instead of
-memory) and gets the input gradient of a stride-1 conv as a correlation of
-the upstream gradient with the flipped kernel.
+memory).
 """
 
 from __future__ import annotations
@@ -277,13 +279,9 @@ def _unary(name, fn, grad, keeps_output):
 
 
 def _sigmoid(d):
-    # split by sign to stay overflow-free in float32
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of -|d| only, so nothing overflows; minimum keeps a NaN's sign bit
+    e = np.exp(np.minimum(d, -d))
+    return np.where(d >= 0, 1 / (1 + e), e / (1 + e))
 
 
 relu = _unary("relu", lambda x: np.maximum(x, 0), lambda g, out: g * (out > 0), True)
@@ -447,28 +445,31 @@ def _shift_weight_grad(a, g, kh, kw, padding, dilation):
     return gw
 
 
-def _conv_plan(cin, cout, kh, kw, stride, padding, dilation, w):
-    """The methods of one conv, from its arguments and input width alone:
-    (forward, input gradient).  The weight gradient reads the input the way
-    the forward does.
-
-    Forward: "shift" (shifted-window GEMMs, no lowering copy) or "lower".
-    Input gradient: the correlation of the padded upstream gradient with
-    the flipped, Cin/Cout-swapped kernel, by shifted windows ("shift") or
-    by lowering ("correlate"); or "scatter" (per-tap adds of W^T @ g) for
-    a stride other than 1 or a padding above d*(k-1).
+def _shifts(cin, cout, kh, kw, stride, dilation, wp):
+    """Whether a correlation of a Cin-channel map of padded width `wp` with
+    a (Cout, Cin, kh, kw) kernel takes shifted windows rather than lowering.
 
     Shifted windows skip the copy of each input into kh*kw taps.  They pay
-    for it with Wp - OW = d*(kw-1) junk columns per output row, and with
-    kh*kw GEMMs of K = C instead of one of K = C*kh*kw.  So they are used
-    only while the junk is at most a quarter of the output width, and for
-    the input gradient only where its input, g, is the wider one (Cout >= Cin)."""
+    for it with d*(kw-1) junk columns per output row, and with kh*kw GEMMs
+    of K = Cin instead of one of K = Cin*kh*kw.  So they are used for a
+    stride-1 kernel larger than 1x1 only while the junk is at most a
+    quarter of the output width and the input is the wider side
+    (Cout <= Cin)."""
     junk = dilation * (kw - 1)
-    shiftable = stride == 1 and kh * kw > 1
-    fwd = "shift" if shiftable and 4 * junk <= w + 2 * padding - junk else "lower"
-    if stride != 1 or min(dilation * (kh - 1), junk) < padding:
-        return fwd, "scatter"
-    return fwd, "shift" if shiftable and cin <= cout and 4 * junk <= w else "correlate"
+    return (stride == 1 and kh * kw > 1 and cout <= cin
+            and 4 * junk <= wp - junk)
+
+
+def _correlate(a, wt, ph, pw, stride, dilation):
+    """Correlation of NCHW `a`, zero-padded by (ph, pw), with the (Cout,
+    Cin, kh, kw) kernel `wt`, by the method `_shifts` picks: a (N, Cout,
+    OH, OW) array."""
+    n, cin, h, w = a.shape
+    cout, _, kh, kw = wt.shape
+    if _shifts(cin, cout, kh, kw, stride, dilation, w + 2 * pw):
+        return _shift_conv(a, wt, ph, pw, dilation)
+    cols, oh, ow = _lower(_pad(a, ph, pw), kh, kw, stride, dilation)
+    return np.matmul(wt.reshape(cout, cin * kh * kw), cols).reshape(n, cout, oh, ow)
 
 
 def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
@@ -477,17 +478,18 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
     weight: (Cout, Cin, kh, kw).  Output spatial size follows the usual
     floor((H + 2p - d*(k-1) - 1)/s) + 1 rule.
 
-    ``_conv_plan`` picks the method of each direction from the conv's
-    arguments and input shape.  Lowering copies each tap's slice of the
-    padded input into per-sample cols (N, Cin*kh*kw, OH*OW) and multiplies
-    by the (Cout, Cin*kh*kw) weight, which gives NCHW directly; shifted
-    windows (``_windows``) copy nothing but the padding.  No cols are kept
-    for backward: the weight gradient reads the input again the way the
-    forward did.  The input gradient of a stride-1 conv with padding <=
-    d*(k-1) is a stride-1 correlation of the upstream gradient, padded by
-    d*(k-1) - padding, with the flipped kernel whose Cin/Cout axes are
-    swapped; any other conv scatters per-tap slices of W^T @ g back onto the
-    padded input.
+    The forward is one ``_correlate`` call, which ``_shifts`` sends to
+    lowering or to shifted windows from the call's shapes alone.  Lowering
+    copies each tap's slice of the padded input into per-sample cols (N,
+    Cin*kh*kw, OH*OW) and multiplies by the (Cout, Cin*kh*kw) weight, which
+    gives NCHW directly; shifted windows (``_windows``) copy nothing but
+    the padding.  No cols are kept for backward: the weight gradient reads
+    the input again the way the forward did.  The input gradient of a
+    stride-1 conv with padding <= d*(k-1) is the same ``_correlate`` call,
+    under the same rule, of the upstream gradient padded by d*(k-1) -
+    padding with the flipped kernel whose Cin/Cout axes are swapped; any
+    other conv scatters per-tap slices of W^T @ g back onto the padded
+    input.
     """
     if x.data.ndim != 4:
         raise ValueError(f"conv2d: input must be 4-D (N,C,H,W), got shape {x.shape}")
@@ -510,41 +512,31 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
             f"conv2d: effective kernel ({eff_h}x{eff_w}) exceeds padded input "
             f"({h + 2 * padding}x{w + 2 * padding})")
 
-    fwd_method, gx_method = _conv_plan(cin, cout, kh, kw, stride, padding,
-                                       dilation, w)
-    wmat = weight.data.reshape(cout, cin * kh * kw)
-    if fwd_method == "shift":
-        out = _shift_conv(x.data, weight.data, padding, padding, dilation)
-    else:
-        cols, oh, ow = _lower(_pad(x.data, padding, padding), kh, kw, stride,
-                              dilation)
-        out = np.matmul(wmat, cols).reshape(n, cout, oh, ow)
+    out = _correlate(x.data, weight.data, padding, padding, stride, dilation)
     oh, ow = out.shape[2:]
     if bias is not None:
         out += bias.data[None, :, None, None]
     _record_flops("conv", 2 * n * cout * cin * kh * kw * oh * ow)
 
+    shifted = _shifts(cin, cout, kh, kw, stride, dilation, w + 2 * padding)
     qh, qw = dilation * (kh - 1) - padding, dilation * (kw - 1) - padding
     xd, wd, biased = x.data, weight.data, bias is not None
 
     def bwd(g):
-        if fwd_method == "shift":
+        gmat = g.reshape(n, cout, oh * ow)
+        if shifted:
             gw = _shift_weight_grad(xd, g, kh, kw, padding, dilation)
         else:
-            gmat = g.reshape(n, cout, oh * ow)
             cols, _, _ = _lower(_pad(xd, padding, padding), kh, kw, stride,
                                 dilation)
             gw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(
                 wd.shape)
             del cols
-        flipped = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        if gx_method == "shift":
-            gx = _shift_conv(g, flipped, qh, qw, dilation)
-        elif gx_method == "correlate":
-            gcols, _, _ = _lower(_pad(g, qh, qw), kh, kw, 1, dilation)
-            gx = np.matmul(flipped.reshape(cin, cout * kh * kw), gcols).reshape(xd.shape)
+        if stride == 1 and min(qh, qw) >= 0:
+            gx = _correlate(g, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
+                            qh, qw, 1, dilation)
         else:
-            gcols = np.matmul(wmat.T, g.reshape(n, cout, oh * ow)).reshape(
+            gcols = np.matmul(wd.reshape(cout, cin * kh * kw).T, gmat).reshape(
                 n, cin, kh, kw, oh, ow)
             gxp = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
             for i, j, (ys, xs) in _taps(kh, kw, oh, ow, stride, dilation):

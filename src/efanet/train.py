@@ -11,7 +11,7 @@ import numpy as np
 from . import dataio, metrics, pipeline
 from .checkpoint import save_checkpoint
 from .config import RunConfig
-from .engine import Adam, Tensor, no_grad
+from .engine import Adam, Tensor, _sigmoid, no_grad
 from .model import EFANet, total_loss
 
 
@@ -124,7 +124,7 @@ def predict_probability(model, image, target_size, dtype=np.float32):
         logits = out.side_logits[0].data[0, 0]
     if not np.isfinite(logits).all():
         raise NumericFailure("non-finite prediction")
-    prob = 1.0 / (1.0 + np.exp(-logits.astype(np.float64)))
+    prob = _sigmoid(logits.astype(np.float64))
     if (h, w) != prob.shape:
         prob = pipeline.resize_image(prob, h, w)
     return prob

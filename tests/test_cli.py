@@ -1,6 +1,7 @@
 import hashlib
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from efanet.config import (ConfigError, RunConfig, parse_config, save_config,
                            serialize_config)
 from efanet.engine import Adam
 from efanet.model import EFANet, ModelConfig
-from efanet.train import NumericFailure, train
+from efanet.train import NumericFailure, predict_probability, train
 from corruption import bit_flips, prefixes, sweep
 from test_analyze import toy_config
 
@@ -108,7 +109,7 @@ class TestConfig:
         ("optim.beta2", "1"), ("optim.eps", "0"), ("optim.eps", "-1e-8"),
         ("optim.eps", "nan"), ("optim.eps", "inf"), ("model.beta_edge", "-5"),
         ("model.beta_edge", "nan"), ("model.beta_edge", "inf"),
-        ("train.seed", "-1")])
+        ("train.seed", "-1"), ("train.dtype", "float16")])
     def test_out_of_range_value_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
             parse_config(f"{key} = {value}\n")
@@ -454,6 +455,15 @@ class TestEvalPredictAnalyze:
         assert tensor.shape == (32, 32)
         assert tensor.dtype == np.float32
 
+    def test_confident_model_predicts_without_warning(self):
+        model = EFANet(ModelConfig(), seed=0, dtype=np.float32)
+        dict(model.named_parameters())["heads.head1.out.bias"].data[:] = -1000
+        image = np.random.default_rng(0).random((1, 48, 40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prob = predict_probability(model, image, 64)
+        assert prob.shape == (48, 40) and np.all(prob == 0)
+
     def test_analyze_prints_totals(self, tmp_path, capsys):
         cfg = tiny_run_config(tmp_path)
         cfg_path = tmp_path / "a.cfg"
@@ -540,6 +550,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "train.seed" in err and "Traceback" not in err
         assert not os.path.exists(os.path.join(cfg.train.out_dir, "train_log.tsv"))
+
+    @pytest.mark.parametrize("command", ["train", "analyze"])
+    def test_unsupported_dtype_is_2(self, tmp_path, dataset, capsys, command):
+        cfg = tiny_run_config(tmp_path, manifest=dataset)
+        cfg_path = tmp_path / "t.cfg"
+        save_config(cfg_path, cfg)
+        with open(cfg_path, "a", encoding="utf-8") as f:
+            f.write("train.dtype = float16\n")
+        assert cli.main([command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "train.dtype" in err and "Traceback" not in err
+        assert not os.path.exists(cfg.train.out_dir)
 
     def test_batch_larger_than_split_is_2(self, tmp_path, dataset, capsys):
         cfg = tiny_run_config(tmp_path, manifest=dataset)

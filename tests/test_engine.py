@@ -1,5 +1,6 @@
 import itertools
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from efanet import engine
 from efanet.engine import (Adam, Tensor, backward, batch_norm,
                            bilinear_resize, concat_channels, conv2d, exp,
                            global_avg_pool, mean_all, relu, sigmoid)
+from efanet.model import EFANet, ModelConfig, total_loss
 from gradcheck import check_gradients, max_rel_error, numerical_gradient
 
 
@@ -149,17 +151,17 @@ class TestConv2d:
         assert out.shape == (1, 3, oh, ow)
 
     # 2 -> 3: stride 2 and padding > dilation*(k-1) take the scatter
-    # gradient; stride-1 3x3 convs take shifted windows in both directions
-    # wherever the junk rule allows, and lowering elsewhere
+    # gradient; stride-1 3x3 convs lower forward (Cout > Cin) and take
+    # shifted windows for the input gradient wherever the junk rule allows
     @pytest.mark.parametrize("bias", [True, False])
     @pytest.mark.parametrize("k", [3, 1])
     @conv_grid
     def test_gradients(self, stride, padding, dilation, k, bias):
         check_conv_gradients((2, 3), k, stride, padding, dilation, bias)
 
-    # a stride-1 3x3 conv takes shifted windows forward either way; 6 -> 2
-    # takes the lowered correlation backward and 2 -> 6 shifted windows,
-    # wherever the junk rule allows them
+    # wherever the junk rule allows shifted windows, a stride-1 3x3 conv
+    # 6 -> 2 takes them forward and lowers its input gradient, and 2 -> 6
+    # the other way round
     @pytest.mark.parametrize("channels", [(6, 2), (2, 6)])
     @pytest.mark.parametrize("bias", [True, False])
     @pytest.mark.parametrize("k", [3, 1])
@@ -179,30 +181,72 @@ class TestConv2d:
                                              k, channels):
         check_conv_tap_loop((21, 19), channels, k, stride, padding, dilation)
 
-    # one case per planner branch: (Cin, Cout), (H, W), k, stride, padding,
-    # dilation, and the (forward, input gradient) methods it must take
+    # one case per branch of the rule: (Cin, Cout), (H, W), k, stride,
+    # padding, dilation, and the methods of the forward and the input
+    # gradient; "scatter" where the input gradient is no correlation
     PLAN_CASES = [
-        ((6, 2), (12, 11), 3, 1, 1, 1, ("shift", "correlate")),
-        ((2, 6), (12, 11), 3, 1, 1, 1, ("shift", "shift")),
+        ((6, 2), (12, 11), 3, 1, 1, 1, ("shift", "lower")),
+        ((2, 6), (12, 11), 3, 1, 1, 1, ("lower", "shift")),
         ((3, 3), (12, 11), 3, 1, 1, 1, ("shift", "shift")),
         ((3, 3), (12, 11), 3, 1, 3, 1, ("shift", "scatter")),
         ((3, 3), (12, 11), 3, 2, 1, 1, ("lower", "scatter")),
-        ((3, 3), (12, 11), 1, 1, 0, 1, ("lower", "correlate")),
+        ((3, 3), (12, 11), 1, 1, 0, 1, ("lower", "lower")),
         # dilation 8 on a narrow map: 16 junk columns against 10 outputs
-        ((3, 3), (9, 10), 3, 1, 8, 8, ("lower", "correlate")),
-        ((6, 2), (9, 10), 3, 1, 8, 8, ("lower", "correlate")),
-        ((2, 6), (9, 10), 3, 1, 8, 8, ("lower", "correlate")),
+        ((3, 3), (9, 10), 3, 1, 8, 8, ("lower", "lower")),
+        ((6, 2), (9, 10), 3, 1, 8, 8, ("lower", "lower")),
+        ((2, 6), (9, 10), 3, 1, 8, 8, ("lower", "lower")),
     ]
 
     @pytest.mark.parametrize("case", PLAN_CASES)
     def test_plan_branches(self, case):
         (cin, cout), (h, w), k, stride, padding, dilation, plan = case
-        assert engine._conv_plan(cin, cout, k, k, stride, padding, dilation,
-                                 w) == plan
+        method = {True: "shift", False: "lower"}
+        fwd = method[engine._shifts(cin, cout, k, k, stride, dilation,
+                                    w + 2 * padding)]
+        q = dilation * (k - 1) - padding
+        ow = w + 2 * padding - dilation * (k - 1)
+        # the input gradient's call: g (Cout channels, OW wide) padded by q
+        # with the flipped kernel, whose Cin/Cout axes are swapped
+        gx = (method[engine._shifts(cout, cin, k, k, 1, dilation, ow + 2 * q)]
+              if stride == 1 and q >= 0 else "scatter")
+        assert (fwd, gx) == plan
         for bias in (True, False):
             check_conv_gradients((cin, cout), k, stride, padding, dilation,
                                  bias, hw=(h, w))
         check_conv_tap_loop((h, w), (cin, cout), k, stride, padding, dilation)
+
+    def test_default_model_step_methods(self, monkeypatch):
+        """The (forward, input gradient) methods `_shifts` picks for the 109
+        convs of one batch-8 64x64 training step of the default model."""
+        calls = []
+        correlate = engine._correlate
+
+        def spy(a, wt, ph, pw, stride, dilation):
+            shifts = engine._shifts(a.shape[1], wt.shape[0], *wt.shape[2:],
+                                    stride, dilation, a.shape[3] + 2 * pw)
+            owner = wt if wt.base is None else wt.base  # the conv's weight
+            calls.append((id(owner), "shift" if shifts else "lower"))
+            return correlate(a, wt, ph, pw, stride, dilation)
+
+        monkeypatch.setattr(engine, "_correlate", spy)
+        cfg = ModelConfig()
+        model = EFANet(cfg, seed=0, dtype=np.float32)
+        rng = np.random.default_rng(0)
+        out = model(Tensor(rng.normal(size=(8, 1, 64, 64)).astype(np.float32)))
+        forward = list(calls)
+        calls.clear()
+        mask = (rng.random((8, 1, 64, 64)) < 0.3).astype(np.float32)
+        total_loss(out, mask, mask, cfg).total.backward()
+        # a weight used by several convs (edge_attn, 4 times) takes the same
+        # shapes, so the same methods, each time
+        grads = {}
+        for key, method in calls:
+            grads.setdefault(key, []).append(method)
+        methods = Counter((method, grads[key].pop() if grads.get(key) else "scatter")
+                          for key, method in forward)
+        assert not any(grads.values())
+        assert methods == {("lower", "lower"): 65, ("lower", "scatter"): 5,
+                           ("shift", "lower"): 8, ("shift", "shift"): 31}
 
     def test_dilated_gradients(self):
         x = rand((1, 2, 9, 9), seed=6, grad=True)
@@ -308,6 +352,16 @@ class TestBatchNorm:
 # ----------------------------------------------------------- activations
 
 
+def masked_sigmoid(d):
+    """Reference sigmoid, split by sign through boolean masks."""
+    out = np.empty_like(d)
+    pos = d >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    ex = np.exp(d[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 class TestActivations:
     def test_relu_values(self):
         out = relu(Tensor(np.array([-2.0, 0.0, 3.0])))
@@ -330,6 +384,17 @@ class TestActivations:
         inner = np.abs(x.data) < 30
         assert np.all((s[inner] > 0) & (s[inner] < 1))
         assert np.all(relu(x).data >= 0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_masked_reference(self, dtype):
+        d = np.concatenate([
+            [0.0, -0.0, 88, -88, 104, -104, 1e4, -1e4, np.inf, -np.inf, np.nan],
+            np.linspace(-800, 800, 4001),
+            np.random.default_rng(14).normal(scale=30, size=1000)]).astype(dtype)
+        with np.errstate(over="raise", under="ignore"):
+            got = engine._sigmoid(d)
+        assert got.dtype == dtype
+        assert got.tobytes() == masked_sigmoid(d).tobytes()
 
     def test_gradients(self):
         x = rand((2, 3), seed=13, grad=True)
