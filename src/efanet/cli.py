@@ -1,6 +1,6 @@
 """Command-line interface: train / eval / predict / analyze / synth.
 
-Exit codes: 0 success, 2 config or manifest error, 3 checkpoint error,
+Exit codes: 0 success, 2 config, manifest or path error, 3 checkpoint error,
 4 numeric failure (a non-finite training loss or prediction).
 """
 
@@ -140,8 +140,9 @@ def main(argv=None):
     except NumericFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    # config, manifest and data format errors are all ValueErrors
-    except (ValueError, FileNotFoundError) as exc:
+    # config, manifest and data format errors are all ValueErrors; a path
+    # that is missing, a directory or unreadable is an OSError
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -89,6 +89,12 @@ class RunConfig:
     def np_dtype(self):
         return _DTYPES[self.train.dtype]
 
+    def validate(self):
+        """Check every section's ranges again, as after an edit in place."""
+        for get in _SECTIONS.values():
+            get(self).__post_init__()
+        return self
+
 
 def _fmt(value):
     if isinstance(value, bool):
@@ -171,12 +177,7 @@ def parse_config(text) -> RunConfig:
             raise
         except ValueError as exc:
             raise ConfigError(f"line {ln}: bad value for {key!r}: {exc}")
-    # revalidate dataclass invariants after mutation
-    for get in _SECTIONS.values():
-        obj = get(cfg)
-        if hasattr(obj, "__post_init__"):
-            obj.__post_init__()
-    return cfg
+    return cfg.validate()
 
 
 def load_config(path) -> RunConfig:

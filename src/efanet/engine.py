@@ -19,15 +19,15 @@ second pass through a consumed node raises ``ValueError``.  The engine writes
 only into arrays it allocated itself, and the only such array is a leaf's
 ``.grad``; gradients are passed on by reference and summed into new arrays.
 
-``conv2d`` runs its forward, and the input gradient of a stride-1 conv, as
-one correlation routine, ``_correlate``; the gradient is the upstream
-gradient correlated with the flipped kernel whose Cin/Cout axes are swapped.
-One rule, ``_shifts``, picks for each call between lowering each sample's
-padded input to (Cin*kh*kw, OH*OW) columns for one GEMM, and, for stride-1
-kernels larger than 1x1, one GEMM per tap over shifted windows of the
-flattened padded input, which copies nothing but the padding.  The backward
-keeps no columns: it reads the saved input again (recompute instead of
-memory).
+``conv2d`` runs its forward and its input gradient as one correlation
+routine, ``_correlate``; the gradient is the upstream gradient, spread
+`stride` apart, correlated with the flipped kernel whose Cin/Cout axes are
+swapped.  One rule, ``_shifts``, picks for every call between two methods:
+lowering each sample's padded input to (Cin*kh*kw, OH*OW) columns for one
+GEMM, and, for stride-1 kernels larger than 1x1, one GEMM per tap over
+shifted windows of the flattened padded input, which copies nothing but the
+padding.  The backward keeps no columns: it reads the saved input again
+(recompute instead of memory).
 """
 
 from __future__ import annotations
@@ -358,15 +358,6 @@ def _conv_out_size(n, k, stride, padding, dilation):
     return (n + 2 * padding - dilation * (k - 1) - 1) // stride + 1
 
 
-def _taps(kh, kw, oh, ow, stride, dilation):
-    """Per kernel tap (i, j): the row and column slices of a padded map that
-    the tap reads for every output position."""
-    for i in range(kh):
-        for j in range(kw):
-            yield i, j, (slice(i * dilation, i * dilation + stride * (oh - 1) + 1, stride),
-                         slice(j * dilation, j * dilation + stride * (ow - 1) + 1, stride))
-
-
 def _lower(xp, kh, kw, stride, dilation):
     """Lower a padded NCHW array to cols of shape (N, C*kh*kw, OH*OW), rows
     ordered (c, i, j) to match a (Cout, C, kh, kw) weight; returns
@@ -377,8 +368,11 @@ def _lower(xp, kh, kw, stride, dilation):
     if kh == kw == 1 and stride == 1:
         return xp.reshape(n, c, h * w), oh, ow
     cols = np.empty((n, c, kh, kw, oh, ow), dtype=xp.dtype)
-    for i, j, (ys, xs) in _taps(kh, kw, oh, ow, stride, dilation):
-        cols[:, :, i, j] = xp[:, :, ys, xs]
+    for i in range(kh):
+        for j in range(kw):
+            y, x = i * dilation, j * dilation
+            cols[:, :, i, j] = xp[:, :, y:y + stride * (oh - 1) + 1:stride,
+                                  x:x + stride * (ow - 1) + 1:stride]
     return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
 
 
@@ -484,12 +478,12 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
     Cin*kh*kw, OH*OW) and multiplies by the (Cout, Cin*kh*kw) weight, which
     gives NCHW directly; shifted windows (``_windows``) copy nothing but
     the padding.  No cols are kept for backward: the weight gradient reads
-    the input again the way the forward did.  The input gradient of a
-    stride-1 conv with padding <= d*(k-1) is the same ``_correlate`` call,
-    under the same rule, of the upstream gradient padded by d*(k-1) -
-    padding with the flipped kernel whose Cin/Cout axes are swapped; any
-    other conv scatters per-tap slices of W^T @ g back onto the padded
-    input.
+    the input again the way the forward did.  The input gradient is one
+    ``_correlate`` call, under the same rule, with the flipped kernel whose
+    Cin/Cout axes are swapped: of the upstream gradient padded by d*(k-1) -
+    padding for a stride-1 conv with padding <= d*(k-1), and otherwise of
+    the gradient spread `stride` apart over the padded input, cropped
+    after.  An input that takes no gradient gets None.
     """
     if x.data.ndim != 4:
         raise ValueError(f"conv2d: input must be 4-D (N,C,H,W), got shape {x.shape}")
@@ -520,31 +514,32 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
 
     shifted = _shifts(cin, cout, kh, kw, stride, dilation, w + 2 * padding)
     qh, qw = dilation * (kh - 1) - padding, dilation * (kw - 1) - padding
-    xd, wd, biased = x.data, weight.data, bias is not None
+    xd, wd, biased, wants_gx = x.data, weight.data, bias is not None, x.requires_grad
 
     def bwd(g):
-        gmat = g.reshape(n, cout, oh * ow)
         if shifted:
             gw = _shift_weight_grad(xd, g, kh, kw, padding, dilation)
         else:
             cols, _, _ = _lower(_pad(xd, padding, padding), kh, kw, stride,
                                 dilation)
-            gw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(
-                wd.shape)
+            gw = np.matmul(g.reshape(n, cout, oh * ow), cols.transpose(0, 2, 1)
+                           ).sum(axis=0).reshape(wd.shape)
             del cols
-        if stride == 1 and min(qh, qw) >= 0:
-            gx = _correlate(g, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
-                            qh, qw, 1, dilation)
+        wt = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        if not wants_gx:
+            gx = None
+        elif stride == 1 and min(qh, qw) >= 0:
+            gx = _correlate(g, wt, qh, qw, 1, dilation)
         else:
-            gcols = np.matmul(wd.reshape(cout, cin * kh * kw).T, gmat).reshape(
-                n, cin, kh, kw, oh, ow)
-            gxp = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
-            for i, j, (ys, xs) in _taps(kh, kw, oh, ow, stride, dilation):
-                gxp[:, :, ys, xs] += gcols[:, :, i, j]
-            gx = np.ascontiguousarray(gxp[:, :, padding:padding + h, padding:padding + w])
-        if not biased:
-            return gx, gw
-        return gx, gw, g.sum(axis=(0, 2, 3))
+            # g spread `stride` apart over the padded input, behind d*(k-1)
+            # leading zeros, then cropped back to the input
+            eh, ew = dilation * (kh - 1), dilation * (kw - 1)
+            gu = np.zeros((n, cout, h + 2 * padding + eh, w + 2 * padding + ew),
+                          dtype=g.dtype)
+            gu[:, :, eh::stride, ew::stride][:, :, :oh, :ow] = g
+            gx = np.ascontiguousarray(_correlate(gu, wt, 0, 0, 1, dilation)[
+                :, :, padding:padding + h, padding:padding + w])
+        return (gx, gw, g.sum(axis=(0, 2, 3))) if biased else (gx, gw)
 
     return _make_node(out, (x, weight, bias) if biased else (x, weight), bwd)
 

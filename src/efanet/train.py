@@ -46,8 +46,7 @@ def train(cfg: RunConfig):
     Per batch: pick one of the configured scale ratios, resize, augment,
     forward, loss, Adam step.  Loss lines go to <out_dir>/train_log.tsv.
     """
-    out_dir = cfg.train.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    cfg.validate()
     if not cfg.train.manifest:
         raise ValueError("train: no dataset manifest configured")
     samples = load_split(cfg.train.manifest, "train",
@@ -56,6 +55,8 @@ def train(cfg: RunConfig):
         raise ValueError(f"train: {len(samples)} 'train' records in "
                          f"{cfg.train.manifest}, fewer than optim.batch_size "
                          f"= {cfg.optim.batch_size}")
+    out_dir = cfg.train.out_dir
+    os.makedirs(out_dir, exist_ok=True)
 
     dtype = cfg.np_dtype()
     model = EFANet(cfg.model, seed=cfg.train.seed, dtype=dtype)
@@ -136,6 +137,7 @@ def evaluate(model, cfg: RunConfig, manifest_path, split="test",
 
     Each image's maps are dropped once it is scored: only its metric record
     and its precision/recall curves are kept, in record order."""
+    cfg.validate()
     model.eval()
     records = dataio.read_manifest(manifest_path)
     wanted = [r for r in records if r[3] == split]

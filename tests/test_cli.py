@@ -14,7 +14,7 @@ from efanet.config import (ConfigError, RunConfig, parse_config, save_config,
                            serialize_config)
 from efanet.engine import Adam
 from efanet.model import EFANet, ModelConfig
-from efanet.train import NumericFailure, predict_probability, train
+from efanet.train import NumericFailure, evaluate, predict_probability, train
 from corruption import bit_flips, prefixes, sweep
 from test_analyze import toy_config
 
@@ -123,6 +123,38 @@ class TestConfig:
     def test_bad_dilation_rates_rejected(self, rates):
         with pytest.raises(ValueError, match="model.dilation_rates"):
             parse_config(f"model.dilation_rates = {rates}\n")
+
+
+class TestEditedConfig:
+    """A RunConfig edited in Python is checked again before any work."""
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("optim", "batch_size", 0), ("train", "dtype", "float16")])
+    def test_train_rejects_edit_before_out_dir(self, tmp_path, section, key,
+                                               value):
+        cfg = tiny_run_config(tmp_path)
+        setattr(getattr(cfg, section), key, value)
+        with pytest.raises(ValueError, match=f"{section}.{key}"):
+            train(cfg)
+        assert not os.path.exists(cfg.train.out_dir)
+
+    def test_train_without_manifest_makes_no_out_dir(self, tmp_path):
+        cfg = tiny_run_config(tmp_path)
+        with pytest.raises(ValueError, match="no dataset manifest"):
+            train(cfg)
+        assert not os.path.exists(cfg.train.out_dir)
+
+    def test_evaluate_rejects_threshold_before_reading(self, tmp_path, dataset,
+                                                       monkeypatch):
+        def no_reads(*args, **kwargs):
+            raise AssertionError("an image was read")
+
+        monkeypatch.setattr(pipeline, "read_pair", no_reads)
+        cfg = tiny_run_config(tmp_path)
+        cfg.eval.threshold = 2.0
+        model = EFANet(cfg.model, seed=0, dtype=np.float32)
+        with pytest.raises(ValueError, match="eval.threshold"):
+            evaluate(model, cfg, dataset)
 
 
 class TestCheckpoint:
@@ -476,6 +508,24 @@ class TestEvalPredictAnalyze:
 class TestExitCodes:
     def test_missing_config_file_is_2(self, tmp_path):
         assert cli.main(["train", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--config", "--image",
+                                      "--manifest"])
+    def test_directory_path_is_2(self, tmp_path, dataset, capsys, flag):
+        ckpt, cfg_path = tmp_path / "toy.efac", tmp_path / "a.cfg"
+        _toy_checkpoint(ckpt)
+        save_config(cfg_path, tiny_run_config(tmp_path))
+        argv = {"--checkpoint": ["eval", "--checkpoint", "DIR",
+                                 "--manifest", dataset],
+                "--config": ["analyze", "--config", "DIR"],
+                "--image": ["predict", "--checkpoint", str(ckpt),
+                            "--image", "DIR", "--out", str(tmp_path / "p.pgm")],
+                "--manifest": ["eval", "--checkpoint", str(ckpt),
+                               "--manifest", "DIR"]}[flag]
+        assert cli.main([str(tmp_path) if a == "DIR" else a for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_unknown_key_is_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -150,7 +150,7 @@ class TestConv2d:
         ow = (w + 2 * padding - dilation * (k - 1) - 1) // stride + 1
         assert out.shape == (1, 3, oh, ow)
 
-    # 2 -> 3: stride 2 and padding > dilation*(k-1) take the scatter
+    # 2 -> 3: stride 2 and padding > dilation*(k-1) correlate the spread
     # gradient; stride-1 3x3 convs lower forward (Cout > Cin) and take
     # shifted windows for the input gradient wherever the junk rule allows
     @pytest.mark.parametrize("bias", [True, False])
@@ -183,18 +183,22 @@ class TestConv2d:
 
     # one case per branch of the rule: (Cin, Cout), (H, W), k, stride,
     # padding, dilation, and the methods of the forward and the input
-    # gradient; "scatter" where the input gradient is no correlation
+    # gradient; stride 2 and padding > dilation*(k-1) correlate the spread
+    # gradient
     PLAN_CASES = [
         ((6, 2), (12, 11), 3, 1, 1, 1, ("shift", "lower")),
         ((2, 6), (12, 11), 3, 1, 1, 1, ("lower", "shift")),
         ((3, 3), (12, 11), 3, 1, 1, 1, ("shift", "shift")),
-        ((3, 3), (12, 11), 3, 1, 3, 1, ("shift", "scatter")),
-        ((3, 3), (12, 11), 3, 2, 1, 1, ("lower", "scatter")),
+        ((3, 3), (12, 11), 3, 1, 3, 1, ("shift", "shift")),
+        ((3, 3), (12, 11), 3, 2, 1, 1, ("lower", "shift")),
         ((3, 3), (12, 11), 1, 1, 0, 1, ("lower", "lower")),
         # dilation 8 on a narrow map: 16 junk columns against 10 outputs
         ((3, 3), (9, 10), 3, 1, 8, 8, ("lower", "lower")),
         ((6, 2), (9, 10), 3, 1, 8, 8, ("lower", "lower")),
         ((2, 6), (9, 10), 3, 1, 8, 8, ("lower", "lower")),
+        # the spread gradient of a stride-2 conv 6 -> 2 lowers (Cout > Cin
+        # in its call)
+        ((6, 2), (12, 11), 3, 2, 1, 1, ("lower", "lower")),
     ]
 
     @pytest.mark.parametrize("case", PLAN_CASES)
@@ -205,10 +209,12 @@ class TestConv2d:
                                     w + 2 * padding)]
         q = dilation * (k - 1) - padding
         ow = w + 2 * padding - dilation * (k - 1)
-        # the input gradient's call: g (Cout channels, OW wide) padded by q
-        # with the flipped kernel, whose Cin/Cout axes are swapped
-        gx = (method[engine._shifts(cout, cin, k, k, 1, dilation, ow + 2 * q)]
-              if stride == 1 and q >= 0 else "scatter")
+        # the input gradient's call: g (Cout channels, OW wide) padded by q,
+        # or else spread over width W + 2p + d*(k-1), with the flipped
+        # kernel, whose Cin/Cout axes are swapped
+        wp = (ow + 2 * q if stride == 1 and q >= 0
+              else w + 2 * padding + dilation * (k - 1))
+        gx = method[engine._shifts(cout, cin, k, k, 1, dilation, wp)]
         assert (fwd, gx) == plan
         for bias in (True, False):
             check_conv_gradients((cin, cout), k, stride, padding, dilation,
@@ -242,11 +248,40 @@ class TestConv2d:
         grads = {}
         for key, method in calls:
             grads.setdefault(key, []).append(method)
-        methods = Counter((method, grads[key].pop() if grads.get(key) else "scatter")
+        # the stem's input, the image, takes no gradient, so no call
+        methods = Counter((method, grads[key].pop() if grads.get(key) else "none")
                           for key, method in forward)
         assert not any(grads.values())
-        assert methods == {("lower", "lower"): 65, ("lower", "scatter"): 5,
-                           ("shift", "lower"): 8, ("shift", "shift"): 31}
+        assert methods == {("lower", "lower"): 66, ("lower", "shift"): 3,
+                           ("lower", "none"): 1, ("shift", "lower"): 8,
+                           ("shift", "shift"): 31}
+
+    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (1, 3)])
+    def test_input_without_gradient(self, monkeypatch, stride, padding):
+        """An input that takes no gradient gets none: the weight and bias
+        gradients stay bit-identical, and one `_correlate` call goes."""
+        calls = []
+        correlate = engine._correlate
+
+        def spy(*args):
+            calls.append(args)
+            return correlate(*args)
+
+        monkeypatch.setattr(engine, "_correlate", spy)
+        grads = []
+        for wants_gx in (True, False):
+            x, w, b, r = conv_case((2, 12, 11), (3, 4), 3, stride, padding, 1,
+                                   seed=9)
+            x.requires_grad = wants_gx
+            out = conv2d(x, w, b, stride=stride, padding=padding)
+            calls.clear()
+            backward((out * r).sum())
+            grads.append((len(calls), x.grad, w.grad, b.grad))
+        (n_with, gx, gw, gb), (n_without, none, gw0, gb0) = grads
+        assert gx is not None and none is None
+        assert n_without == n_with - 1
+        np.testing.assert_array_equal(gw0, gw)
+        np.testing.assert_array_equal(gb0, gb)
 
     def test_dilated_gradients(self):
         x = rand((1, 2, 9, 9), seed=6, grad=True)
