@@ -203,11 +203,10 @@ class EFANet(Module):
 # -- losses ------------------------------------------------------------------
 
 
-def _bce_map(logits, target):
-    """Per-pixel binary cross-entropy on logits, numerically stable:
-    max(s,0) - s*g + log(1 + exp(-|s|))."""
+def _bce_map(logits, g):
+    """Per-pixel binary cross-entropy of logits s against the target Tensor g,
+    numerically stable: max(s,0) - s*g + log(1 + exp(-|s|))."""
     s = logits
-    g = Tensor(np.asarray(target, dtype=logits.dtype))
     abs_s = relu(s) + relu(-s)
     return relu(s) - s * g + engine.log(engine.exp(-abs_s) + 1.0)
 
@@ -232,35 +231,40 @@ def _check_binary(arr, name):
         raise ValueError(f"{name} must be binary (0/1)")
 
 
-def seg_loss(logits, mask):
-    """Weighted BCE + weighted IoU loss for one side output."""
-    if logits.shape != np.asarray(mask).shape:
-        raise ValueError(f"seg_loss: logits {logits.shape} vs mask "
-                         f"{np.asarray(mask).shape}")
+def seg_loss(side_logits, mask):
+    """Weighted BCE + weighted IoU loss of each side output against one mask,
+    whose check, weight map and target are built once for all of them."""
+    mask = np.asarray(mask)
+    for logits in side_logits:
+        if logits.shape != mask.shape:
+            raise ValueError(f"seg_loss: logits {logits.shape} vs mask "
+                             f"{mask.shape}")
     _check_binary(mask, "mask")
-    w = Tensor(boundary_weights(mask).astype(logits.dtype))
-    g = Tensor(np.asarray(mask, dtype=logits.dtype))
-
-    bce = _bce_map(logits, np.asarray(mask, dtype=np.float64))
+    dtype = side_logits[0].dtype
+    w = Tensor(boundary_weights(mask).astype(dtype))
+    g = Tensor(mask.astype(dtype))
     wsum = w.sum()
-    l_bce = (w * bce).sum() / wsum
-
-    p = sigmoid(logits)
-    inter = (w * p * g).sum()
-    union = (w * (p + g - p * g)).sum()
-    l_iou = 1.0 - inter / union
-    return l_bce + l_iou
+    losses = []
+    for logits in side_logits:
+        l_bce = (w * _bce_map(logits, g)).sum() / wsum
+        p = sigmoid(logits)
+        inter = (w * p * g).sum()
+        union = (w * (p + g - p * g)).sum()
+        l_iou = 1.0 - inter / union
+        losses.append(l_bce + l_iou)
+    return losses
 
 
 def edge_loss(edge_logits, edge_gt):
     """Plain mean BCE between the edge logits and the Sobel edge target."""
     _check_binary(edge_gt, "edge ground truth")
-    return engine.mean_all(_bce_map(edge_logits, edge_gt))
+    g = Tensor(np.asarray(edge_gt, dtype=edge_logits.dtype))
+    return engine.mean_all(_bce_map(edge_logits, g))
 
 
 def total_loss(output: ModelOutput, mask, edge_gt, config: ModelConfig):
     """Sum of the four side-output losses plus beta * edge loss."""
-    seg_terms = [seg_loss(s, mask) for s in output.side_logits]
+    seg_terms = seg_loss(output.side_logits, mask)
     l_e = edge_loss(output.edge_logits, edge_gt)
     total = seg_terms[0]
     for t in seg_terms[1:]:

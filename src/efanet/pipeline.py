@@ -107,12 +107,6 @@ def _resize_mask_nearest(mask, oh, ow):
     return mask[..., rows[:, None], cols[None, :]].copy()
 
 
-def _rebuild(sample, image, mask, radius):
-    mask = (mask >= 0.5).astype(np.float64)
-    return SegSample(image=image, mask=mask,
-                     edge=sobel_edge_gt(mask, radius), id=sample.id)
-
-
 def _rotate(arr, degrees, mode):
     """Rotate the last two axes counterclockwise: exactly for multiples of
     90 degrees, bilinearly otherwise, filling outside the frame per `mode`
@@ -123,10 +117,10 @@ def _rotate(arr, degrees, mode):
                                     mode=mode) for c in arr])
 
 
-def augment(sample, rng, config: AugConfig):
-    """Random flip, rotation and crop with identical geometry on image/mask;
-    the edge map is built once, from the transformed mask."""
-    image, mask = sample.image, sample.mask
+def augment(image, mask, rng, config: AugConfig):
+    """Random flip, rotation and crop with identical geometry on an image
+    (C,H,W) and its mask (1,H,W).  Returns the image, the binarized mask and
+    its edge map: the one edge map training builds for a sample."""
     for axis in (-1, -2):  # left-right, then top-bottom
         if rng.random() < config.flip_prob:
             image, mask = np.flip(image, axis), np.flip(mask, axis)
@@ -147,18 +141,19 @@ def augment(sample, rng, config: AugConfig):
         image = resize_image(image[..., top:top + ch, left:left + cw], h, w)
         mask = _resize_mask_nearest(mask[..., top:top + ch, left:left + cw],
                                     h, w)
-    return _rebuild(sample, image, mask, config.edge_dilation_radius)
+    mask = (mask >= 0.5).astype(np.float64)
+    return image, mask, sobel_edge_gt(mask, config.edge_dilation_radius)
 
 
-def rescale(sample, size, radius=1):
+def rescale(image, mask, size):
     """Resize to a square target: bilinear image, nearest-neighbor mask."""
-    h, w = sample.mask.shape[-2:]
+    h, w = mask.shape[-2:]
     if size < 1:
         raise ValueError(f"rescale: bad target size {size}")
     if (size, size) == (h, w):
-        return sample
-    return _rebuild(sample, resize_image(sample.image, size, size),
-                    _resize_mask_nearest(sample.mask, size, size), radius)
+        return image, mask
+    return (resize_image(image, size, size),
+            _resize_mask_nearest(mask, size, size))
 
 
 # -- synthetic dataset -------------------------------------------------------

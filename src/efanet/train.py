@@ -27,11 +27,10 @@ def _round_to_32(x):
     return max(32, int(round(x / 32.0)) * 32)
 
 
-def _batch_tensors(samples, dtype):
-    image = np.stack([s.image for s in samples]).astype(dtype)
-    mask = np.stack([s.mask for s in samples])
-    edge = np.stack([s.edge for s in samples])
-    return Tensor(image), mask, edge
+def _batch_tensors(batch, dtype):
+    """Stack (image, mask, edge) triples into an image Tensor and two arrays."""
+    images, masks, edges = zip(*batch)
+    return Tensor(np.stack(images).astype(dtype)), np.stack(masks), np.stack(edges)
 
 
 def load_split(manifest_path, split, radius=1):
@@ -51,6 +50,11 @@ def train(cfg: RunConfig):
         raise ValueError("train: no dataset manifest configured")
     samples = load_split(cfg.train.manifest, "train",
                          cfg.aug.edge_dilation_radius)
+    channels = cfg.model.backbone.input_channels
+    for s in samples:
+        if s.image.shape[0] != channels:
+            raise ValueError(f"train: record {s.id} has {s.image.shape[0]} "
+                             f"image channels, backbone.input_channels = {channels}")
     if len(samples) < cfg.optim.batch_size:
         raise ValueError(f"train: {len(samples)} 'train' records in "
                          f"{cfg.train.manifest}, fewer than optim.batch_size "
@@ -87,9 +91,9 @@ def train(cfg: RunConfig):
                 size = _round_to_32(cfg.aug.target_size * ratio)
                 batch = []
                 for i in idx:
-                    s = pipeline.rescale(samples[i], size=size,
-                                         radius=cfg.aug.edge_dilation_radius)
-                    batch.append(pipeline.augment(s, rng, cfg.aug))
+                    image, mask = pipeline.rescale(samples[i].image,
+                                                   samples[i].mask, size)
+                    batch.append(pipeline.augment(image, mask, rng, cfg.aug))
                 image, mask, edge = _batch_tensors(batch, dtype)
                 out = model(image)
                 loss = total_loss(out, mask, edge, cfg.model)

@@ -12,7 +12,7 @@ import pytest
 
 import efanet
 from efanet import (analyze, backbone, config, dataio, engine, layers,
-                    metrics, model)
+                    metrics, model, pipeline)
 
 SIGNATURES = [
     (metrics.s_measure, "(pred, gt)"),
@@ -30,6 +30,9 @@ SIGNATURES = [
     (backbone.Backbone.forward, "(self, image)"),
     (config.parse_config, "(text) -> 'RunConfig'"),
     (model.boundary_weights, "(mask)"),
+    (model.seg_loss, "(side_logits, mask)"),
+    (pipeline.rescale, "(image, mask, size)"),
+    (pipeline.augment, "(image, mask, rng, config: 'AugConfig')"),
 ]
 
 

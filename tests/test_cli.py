@@ -14,6 +14,7 @@ from efanet.config import (ConfigError, RunConfig, parse_config, save_config,
                            serialize_config)
 from efanet.engine import Adam
 from efanet.model import EFANet, ModelConfig
+from efanet.pipeline import sobel_edge_gt
 from efanet.train import NumericFailure, evaluate, predict_probability, train
 from corruption import bit_flips, prefixes, sweep
 from test_analyze import toy_config
@@ -395,6 +396,21 @@ class TestTrainCommand:
                                      fresh.named_parameters()):
             np.testing.assert_array_equal(p.data, q.data, err_msg=name)
 
+    def test_one_edge_map_per_record_and_sample(self, tmp_path, dataset,
+                                                monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return sobel_edge_gt(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "sobel_edge_gt", counting)
+        cfg = tiny_run_config(tmp_path, manifest=dataset)
+        cfg.aug.target_size = 96   # 32 px records: every batch is resized
+        _, steps, _ = train(cfg)
+        # one per 'train' record at load, one per augmented sample
+        assert len(calls) == 5 + steps * cfg.optim.batch_size
+
 
     def test_non_square_samples_train_and_evaluate(self, tmp_path):
         manifest = pipeline.synth_blob_dataset(10, 64, 3, str(tmp_path / "d"))
@@ -611,6 +627,26 @@ class TestExitCodes:
         assert cli.main([command, "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "train.dtype" in err and "Traceback" not in err
+        assert not os.path.exists(cfg.train.out_dir)
+
+    @pytest.mark.parametrize("rgb_records", [5, 1])
+    def test_channel_mismatch_is_2(self, tmp_path, dataset, capsys,
+                                   rgb_records):
+        train_records = [r for r in dataio.read_manifest(dataset)
+                         if r[3] == "train"]
+        first_rgb = train_records[-rgb_records][0]   # the error names it
+        for _, image_path, _, _ in train_records[-rgb_records:]:
+            gray = np.round(dataio.read_pnm(image_path)[0] * 255)
+            rgb = np.repeat(gray.astype(np.uint8)[:, :, None], 3, axis=2)
+            with open(image_path, "wb") as f:   # a P6 (PPM) image
+                f.write(b"P6\n%d %d\n255\n" % gray.shape[::-1] + rgb.tobytes())
+        cfg = tiny_run_config(tmp_path, manifest=dataset)
+        cfg_path = tmp_path / "rgb.cfg"
+        save_config(cfg_path, cfg)
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "backbone.input_channels" in err and f"record {first_rgb}" in err
+        assert "Traceback" not in err
         assert not os.path.exists(cfg.train.out_dir)
 
     def test_batch_larger_than_split_is_2(self, tmp_path, dataset, capsys):

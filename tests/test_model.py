@@ -156,28 +156,53 @@ class TestLoss:
         # ln 2 (BCE at p=0.5) plus 0.5 (IoU with p=0.5 against g=1)
         mask = np.ones((1, 1, 8, 8))
         logits = Tensor(np.zeros((1, 1, 8, 8)))
-        val = float(seg_loss(logits, mask).data)
+        val = float(seg_loss([logits], mask)[0].data)
         np.testing.assert_allclose(val, np.log(2.0) + 0.5, atol=1e-12)
 
     def test_saturated_logits_near_zero(self):
         mask = self._mask()
         logits = Tensor(np.where(mask == 1, 20.0, -20.0))
-        assert float(seg_loss(logits, mask).data) < 1e-3
+        assert float(seg_loss([logits], mask)[0].data) < 1e-3
 
     def test_saturated_logits_stay_finite_float32(self):
         mask = self._mask().astype(np.float32)
         logits = Tensor(np.where(mask == 1, 30.0, -30.0).astype(np.float32))
-        val = float(seg_loss(logits, mask).data)
+        val = float(seg_loss([logits], mask)[0].data)
         assert np.isfinite(val) and val < 5e-3
 
     def test_non_binary_mask_rejected(self):
         mask = np.full((1, 1, 4, 4), 0.5)
         with pytest.raises(ValueError, match="binary"):
-            seg_loss(Tensor(np.zeros((1, 1, 4, 4))), mask)
+            seg_loss([Tensor(np.zeros((1, 1, 4, 4)))], mask)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="seg_loss"):
-            seg_loss(Tensor(np.zeros((1, 1, 4, 4))), np.zeros((1, 1, 8, 8)))
+            seg_loss([Tensor(np.zeros((1, 1, 4, 4)))], np.zeros((1, 1, 8, 8)))
+
+    def test_one_loss_per_side(self):
+        mask = self._mask()
+        rng = np.random.default_rng(5)
+        sides = [Tensor(rng.normal(size=mask.shape)) for _ in range(3)]
+        losses = seg_loss(sides, mask)
+        assert len(losses) == 3
+        for side, loss in zip(sides, losses):   # as if scored alone
+            assert float(loss.data) == float(seg_loss([side], mask)[0].data)
+
+    def test_one_weight_map_per_batch(self, monkeypatch):
+        shapes = []
+
+        def counting(mask):
+            shapes.append(mask.shape)
+            return boundary_weights(mask)
+
+        monkeypatch.setattr(M, "boundary_weights", counting)
+        net = make(seed=2)
+        net.eval()
+        out = net(image(32, seed=4, n=2))
+        mask = np.zeros((2, 1, 32, 32))
+        mask[:, 0, 10:22, 10:22] = 1.0
+        total_loss(out, mask, np.zeros_like(mask), net.config)
+        assert shapes == [(2, 1, 32, 32)]
 
     def test_edge_loss_zero_logits(self):
         edge = np.zeros((1, 1, 8, 8))

@@ -93,7 +93,8 @@ def forced(**kw):
 def augmented(sample, config, seed=0):
     """augment() with the invariants every output keeps: shapes, a binary
     mask, an image in [0,1] and the edge map of the transformed mask."""
-    a = augment(sample, np.random.default_rng(seed), config)
+    a = SegSample(*augment(sample.image, sample.mask,
+                           np.random.default_rng(seed), config), id=sample.id)
     assert a.image.shape == sample.image.shape
     assert a.mask.shape == sample.mask.shape
     assert set(np.unique(a.mask)) <= {0.0, 1.0}
@@ -162,29 +163,30 @@ class TestGeometry:
 
     def test_rescale_shapes_and_consistency(self):
         s = square_sample(size=32, lo=8, hi=24)
-        up = rescale(s, size=64)
-        assert up.image.shape == (1, 64, 64)
-        assert up.mask.shape == (1, 64, 64)
-        np.testing.assert_array_equal(up.edge, sobel_edge_gt(up.mask, 1))
-        back = rescale(up, size=32)
-        np.testing.assert_array_equal(back.mask, s.mask)
+        image, mask = rescale(s.image, s.mask, size=64)
+        assert image.shape == (1, 64, 64)
+        assert mask.shape == (1, 64, 64)
+        assert set(np.unique(mask)) <= {0.0, 1.0}
+        _, back = rescale(image, mask, size=32)
+        np.testing.assert_array_equal(back, s.mask)
 
     def test_rescale_identity_returns_same(self):
         s = square_sample(size=32)
-        assert rescale(s, size=32) is s
+        image, mask = rescale(s.image, s.mask, size=32)
+        assert image is s.image and mask is s.mask
 
 
 class TestAugment:
     def test_deterministic_and_valid(self):
         cfg = AugConfig(target_size=32)
         s = square_sample(size=32, lo=8, hi=24)
-        a = augment(s, np.random.default_rng(3), cfg)
-        b = augment(s, np.random.default_rng(3), cfg)
-        np.testing.assert_array_equal(a.image, b.image)
-        np.testing.assert_array_equal(a.mask, b.mask)
-        assert a.mask.shape == s.mask.shape
-        assert set(np.unique(a.mask)) <= {0.0, 1.0}
-        np.testing.assert_array_equal(a.edge, sobel_edge_gt(a.mask, 1))
+        image, mask, edge = augment(s.image, s.mask, np.random.default_rng(3), cfg)
+        again = augment(s.image, s.mask, np.random.default_rng(3), cfg)
+        np.testing.assert_array_equal(image, again[0])
+        np.testing.assert_array_equal(mask, again[1])
+        assert mask.shape == s.mask.shape
+        assert set(np.unique(mask)) <= {0.0, 1.0}
+        np.testing.assert_array_equal(edge, sobel_edge_gt(mask, 1))
 
     @pytest.mark.parametrize("free_angle", [False, True])
     def test_output_bytes_pinned(self, free_angle):
@@ -192,8 +194,8 @@ class TestAugment:
         h = hashlib.sha256()
         for seed in range(20):
             s = synth_sample(np.random.default_rng(100 + seed), 32, "x")
-            a = augment(s, np.random.default_rng(seed), cfg)
-            for arr in (a.image, a.mask, a.edge):
+            for arr in augment(s.image, s.mask, np.random.default_rng(seed),
+                               cfg):   # image, mask, edge
                 h.update(arr.tobytes())
         assert h.hexdigest() == AUGMENT_SHA256[free_angle]
 
