@@ -11,7 +11,9 @@ closure keeps only what its formula reads:
     add, sub, concat_channels, bilinear_resize,
     global_avg_pool, sum_all, mean_all      shapes and dtype
     relu, sigmoid, exp                      their output
-    log, mul, div, conv2d, batch_norm       their inputs' arrays
+    log, mul, div, conv2d                   their inputs' arrays
+    batch_norm, and with relu=True its      its input's array, from which
+    ReLU in the same node                   backward rebuilds the ReLU mask
 
 ``backward`` replays the graph in reverse topological order into the
 requires_grad leaves, freeing each node's parents and closure as it goes; a
@@ -23,11 +25,12 @@ only into arrays it allocated itself, and the only such array is a leaf's
 routine, ``_correlate``; the gradient is the upstream gradient, spread
 `stride` apart, correlated with the flipped kernel whose Cin/Cout axes are
 swapped.  One rule, ``_shifts``, picks for every call between two methods:
-lowering each sample's padded input to (Cin*kh*kw, OH*OW) columns for one
-GEMM, and, for stride-1 kernels larger than 1x1, one GEMM per tap over
-shifted windows of the flattened padded input, which copies nothing but the
-padding.  The backward keeps no columns: it reads the saved input again
-(recompute instead of memory).
+lowering the padded input to (Cin*kh*kw, OH*OW) columns one sample at a
+time, one GEMM per sample, and, for stride-1 kernels larger than 1x1, one
+GEMM per tap over shifted windows of the flattened padded input, which
+copies nothing but the padding.  The backward keeps no columns: it reads
+the saved input again (recompute instead of memory), and a lowered weight
+gradient adds one sample's product at a time, in batch order.
 """
 
 from __future__ import annotations
@@ -359,21 +362,21 @@ def _conv_out_size(n, k, stride, padding, dilation):
 
 
 def _lower(xp, kh, kw, stride, dilation):
-    """Lower a padded NCHW array to cols of shape (N, C*kh*kw, OH*OW), rows
-    ordered (c, i, j) to match a (Cout, C, kh, kw) weight; returns
-    (cols, OH, OW).  A stride-1 1x1 kernel needs no copy."""
-    n, c, h, w = xp.shape
+    """Lower one padded CHW sample to cols of shape (C*kh*kw, OH*OW), rows
+    ordered (c, i, j) to match a (Cout, C, kh, kw) weight.  A stride-1 1x1
+    kernel needs no copy."""
+    c, h, w = xp.shape
     oh = _conv_out_size(h, kh, stride, 0, dilation)
     ow = _conv_out_size(w, kw, stride, 0, dilation)
     if kh == kw == 1 and stride == 1:
-        return xp.reshape(n, c, h * w), oh, ow
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=xp.dtype)
+        return xp.reshape(c, h * w)
+    cols = np.empty((c, kh, kw, oh, ow), dtype=xp.dtype)
     for i in range(kh):
         for j in range(kw):
             y, x = i * dilation, j * dilation
-            cols[:, :, i, j] = xp[:, :, y:y + stride * (oh - 1) + 1:stride,
-                                  x:x + stride * (ow - 1) + 1:stride]
-    return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
+            cols[:, i, j] = xp[:, y:y + stride * (oh - 1) + 1:stride,
+                               x:x + stride * (ow - 1) + 1:stride]
+    return cols.reshape(c * kh * kw, oh * ow)
 
 
 def _pad(a, ph, pw):
@@ -462,8 +465,13 @@ def _correlate(a, wt, ph, pw, stride, dilation):
     cout, _, kh, kw = wt.shape
     if _shifts(cin, cout, kh, kw, stride, dilation, w + 2 * pw):
         return _shift_conv(a, wt, ph, pw, dilation)
-    cols, oh, ow = _lower(_pad(a, ph, pw), kh, kw, stride, dilation)
-    return np.matmul(wt.reshape(cout, cin * kh * kw), cols).reshape(n, cout, oh, ow)
+    xp, wm = _pad(a, ph, pw), wt.reshape(cout, cin * kh * kw)
+    oh = _conv_out_size(h, kh, stride, ph, dilation)
+    ow = _conv_out_size(w, kw, stride, pw, dilation)
+    out = np.empty((n, cout, oh * ow), dtype=np.result_type(a, wt))
+    for b in range(n):
+        np.matmul(wm, _lower(xp[b], kh, kw, stride, dilation), out=out[b])
+    return out.reshape(n, cout, oh, ow)
 
 
 def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
@@ -474,11 +482,12 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
 
     The forward is one ``_correlate`` call, which ``_shifts`` sends to
     lowering or to shifted windows from the call's shapes alone.  Lowering
-    copies each tap's slice of the padded input into per-sample cols (N,
-    Cin*kh*kw, OH*OW) and multiplies by the (Cout, Cin*kh*kw) weight, which
-    gives NCHW directly; shifted windows (``_windows``) copy nothing but
-    the padding.  No cols are kept for backward: the weight gradient reads
-    the input again the way the forward did.  The input gradient is one
+    copies each tap's slice of one sample's padded input into cols
+    (Cin*kh*kw, OH*OW) and multiplies the (Cout, Cin*kh*kw) weight by them
+    into that sample's slice of the NCHW output; shifted windows
+    (``_windows``) copy nothing but the padding.  No cols are kept for
+    backward: the weight gradient reads the input again the way the forward
+    did.  The input gradient is one
     ``_correlate`` call, under the same rule, with the flipped kernel whose
     Cin/Cout axes are swapped: of the upstream gradient padded by d*(k-1) -
     padding for a stride-1 conv with padding <= d*(k-1), and otherwise of
@@ -520,11 +529,12 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
         if shifted:
             gw = _shift_weight_grad(xd, g, kh, kw, padding, dilation)
         else:
-            cols, _, _ = _lower(_pad(xd, padding, padding), kh, kw, stride,
-                                dilation)
-            gw = np.matmul(g.reshape(n, cout, oh * ow), cols.transpose(0, 2, 1)
-                           ).sum(axis=0).reshape(wd.shape)
-            del cols
+            # summed in batch order from zero, as numpy's axis-0 sum does
+            xp, g3 = _pad(xd, padding, padding), g.reshape(n, cout, oh * ow)
+            gw = np.zeros((cout, cin * kh * kw), dtype=g.dtype)
+            for b in range(n):
+                gw += g3[b] @ _lower(xp[b], kh, kw, stride, dilation).T
+            gw = gw.reshape(wd.shape)
         wt = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         if not wants_gx:
             gx = None
@@ -554,8 +564,10 @@ def _channel_sum(a, b=None):
 BN_MOMENTUM, BN_EPS = 0.1, 1e-5  # running-average weight of a batch; variance floor
 
 
-def batch_norm(x, gamma, beta, running_mean, running_var, training):
-    """Per-channel batch normalization over (N,H,W).
+def batch_norm(x, gamma, beta, running_mean, running_var, training,
+               relu=False):
+    """Per-channel batch normalization over (N,H,W), then, with `relu`, a
+    ReLU in place on its output.
 
     ``running_mean``/``running_var`` are plain numpy buffers updated in place
     in train mode (exponential moving average) and consumed in eval mode.
@@ -566,7 +578,8 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training):
     Training statistics take two passes: a first mean gives the center,
     and the mean and variance of the centered values give the statistics,
     so a float32 channel of large mean and small spread keeps its
-    precision.  Backward keeps x, not the normalized map.
+    precision.  Backward keeps x, not the normalized map: it rebuilds the
+    ReLU's mask from x by the forward's own ops.
     """
     if x.data.ndim != 4:
         raise ValueError(f"batch_norm: input must be 4-D, got shape {x.shape}")
@@ -597,15 +610,25 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training):
 
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     scale = gamma.data * inv_std
-    out *= scale.astype(x.dtype)[:, None]
-    out += (beta.data - resid * scale).astype(x.dtype)[:, None]
+    scale_x = scale.astype(x.dtype)[:, None]
+    shift_x = (beta.data - resid * scale).astype(x.dtype)[:, None]
+    out *= scale_x
+    out += shift_x
+    if relu:
+        np.maximum(out, 0, out=out)
 
     def bwd(g):
         g3 = g.reshape(n, c, -1)
         d = np.subtract(xs, center[:, None])
+        if relu:
+            # the ReLU's mask by the forward's ops: d*scale + shift > 0
+            # exactly when d*scale > -shift, as a rounded sum of two floats
+            # is 0 only where the exact sum is; the masked g overwrites it
+            z = d * scale_x
+            g3 = np.multiply(g3, z > -shift_x, out=z)
         gbeta = _channel_sum(g3)
         ggamma = inv_std * (_channel_sum(g3, d) - resid * gbeta)
-        gx = g3 * scale.astype(xs.dtype)[:, None]
+        gx = np.multiply(g3, scale_x, out=g3 if relu else None)
         if training:
             # gx = scale * (g - mean(g) - xhat * mean(g * xhat)), with
             # xhat = (d - resid) * inv_std: one scale of g plus one of d
@@ -620,11 +643,9 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training):
 
 
 def _resize_matrix(n_in, n_out, align_corners, dtype):
-    """Dense (n_out, n_in) linear-interpolation matrix for one axis."""
+    """Dense (n_out, n_in) linear-interpolation matrix for one axis.  A
+    1-entry input axis gives a column of ones (every src is 0)."""
     m = np.zeros((n_out, n_in), dtype=dtype)
-    if n_in == 1:
-        m[:, 0] = 1.0
-        return m
     if align_corners:
         if n_out == 1:
             src = np.zeros(1)

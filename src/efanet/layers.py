@@ -31,9 +31,9 @@ class Module:
             self._children[name] = value
         object.__setattr__(self, name, value)
 
-    def __call__(self, *args):
+    def __call__(self, *args, **kwargs):
         with engine.scoped(self.scope):
-            return self.forward(*args)
+            return self.forward(*args, **kwargs)
 
     def register_buffer(self, name, array):
         self._buffers[name] = array
@@ -119,9 +119,9 @@ class BatchNorm2d(Module):
         self.register_buffer("running_mean", np.zeros(c, dtype=np.float64))
         self.register_buffer("running_var", np.ones(c, dtype=np.float64))
 
-    def forward(self, x):
+    def forward(self, x, relu=False):
         return engine.batch_norm(x, self.gamma, self.beta, self.running_mean,
-                                 self.running_var, training=self.training)
+                                 self.running_var, self.training, relu)
 
 
 class ConvBNReLU(Module):
@@ -136,7 +136,11 @@ class ConvBNReLU(Module):
         self.bn = BatchNorm2d(cout, dtype=dtype)
 
     def forward(self, x):
-        return engine.relu(self.bn(self.conv(x)))
+        out = self.bn(self.conv(x), relu=True)
+        # the ReLU's FLOPs, as engine.relu books them, on this block's scope:
+        # the analyzer's ledger puts them here and the norm's on .bn
+        engine._record_flops("elementwise", out.size)
+        return out
 
 
 class ResidualBlock(Module):

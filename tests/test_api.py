@@ -19,8 +19,9 @@ SIGNATURES = [
     (metrics.weighted_fmeasure, "(pred, gt)"),
     (metrics.pr_curves, "(samples)"),
     (metrics.mean_curves, "(curve_sets)"),
+    # relu applies the block's ReLU in the norm's own graph node
     (engine.batch_norm,
-     "(x, gamma, beta, running_mean, running_var, training)"),
+     "(x, gamma, beta, running_mean, running_var, training, relu=False)"),
     (engine.bilinear_resize, "(x, out_h, out_w)"),
     (layers.ConvBNReLU.__init__,
      "(self, cin, cout, k, rng, stride=1, dilation=1, dtype=<class "

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -76,10 +77,10 @@ def check_conv_gradients(channels, k, stride, padding, dilation, bias,
     check_gradients(f, tensors)
 
 
-def check_conv_tap_loop(hw, channels, k, stride, padding, dilation):
+def check_conv_tap_loop(hw, channels, k, stride, padding, dilation, n=2):
     """One conv's output and gradients against `tap_loop_conv2d`, to 1e-12
     of the largest reference entry."""
-    x, w, b, r = conv_case((2,) + hw, channels, k, stride, padding, dilation,
+    x, w, b, r = conv_case((n,) + hw, channels, k, stride, padding, dilation,
                            seed=40)
     out = conv2d(x, w, b, stride=stride, padding=padding, dilation=dilation)
     backward((out * r).sum())
@@ -220,6 +221,26 @@ class TestConv2d:
             check_conv_gradients((cin, cout), k, stride, padding, dilation,
                                  bias, hw=(h, w))
         check_conv_tap_loop((h, w), (cin, cout), k, stride, padding, dilation)
+
+    # (Cin, Cout), stride and the padded shapes `_lower` is handed: the
+    # forward and the weight gradient lower each of 4 samples once, and the
+    # input gradient takes shifted windows for 2 -> 6 and lowers the spread
+    # gradient of the stride-2 6 -> 2 conv
+    @pytest.mark.parametrize("channels,stride,lowered", [
+        ((2, 6), 1, [(2, 14, 13)] * 8),
+        ((6, 2), 2, [(6, 14, 13)] * 8 + [(2, 16, 15)] * 4)])
+    def test_lowers_one_sample_at_a_time(self, monkeypatch, channels, stride,
+                                         lowered):
+        shapes = []
+        lower = engine._lower
+
+        def spy(xp, *args):
+            shapes.append(xp.shape)
+            return lower(xp, *args)
+
+        monkeypatch.setattr(engine, "_lower", spy)
+        check_conv_tap_loop((12, 11), channels, 3, stride, 1, 1, n=4)
+        assert shapes == lowered
 
     def test_default_model_step_methods(self, monkeypatch):
         """The (forward, input gradient) methods `_shifts` picks for the 109
@@ -383,6 +404,49 @@ class TestBatchNorm:
 
         check_gradients(f, [x, gamma, beta])
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_relu_gradients(self, training):
+        x = rand((2, 2, 3, 3), seed=12, grad=True)
+        gamma = Tensor(np.array([1.5, 0.5]), requires_grad=True)
+        beta = Tensor(np.array([0.1, -0.2]), requires_grad=True)
+        rm, rv = np.array([0.3, -0.2]), np.array([0.8, 1.5])
+        r = rand(x.shape, seed=13).data
+
+        def f(x, gamma, beta, relu=True):
+            out = batch_norm(x, gamma, beta, rm.copy(), rv.copy(), training,
+                             relu)
+            return out * r if relu else out
+
+        # both sides of the kink are taken, and no pre-ReLU value lies
+        # within reach of the finite-difference step h = 1e-3
+        z = f(x, gamma, beta, relu=False).data
+        assert 0 < np.mean(z > 0) < 1 and np.min(np.abs(z)) > 0.02
+        check_gradients(lambda *t: f(*t).sum(), [x, gamma, beta])
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_relu_matches_separate_relu_bitwise(self, training):
+        rng = np.random.default_rng(16)
+        x32 = (0.5 + rng.normal(size=(4, 3, 8, 8))).astype(np.float32)
+        r = Tensor(rng.normal(size=x32.shape).astype(np.float32))
+        got = []
+        for fused in (False, True):
+            x = Tensor(x32, requires_grad=True)
+            gamma = Tensor(np.array([1.5, 0.5, 2.0], np.float32),
+                           requires_grad=True)
+            beta = Tensor(np.array([0.25, -1.0, 0.0], np.float32),
+                          requires_grad=True)
+            rm, rv = np.array([0.4, 0.6, 0.5]), np.array([0.9, 1.2, 1.1])
+            if fused:
+                out = batch_norm(x, gamma, beta, rm, rv, training, relu=True)
+            else:
+                out = relu(batch_norm(x, gamma, beta, rm, rv, training))
+            backward((out * r).sum())
+            got.append((out.data, rm, rv, x.grad, gamma.grad, beta.grad))
+        assert 0 < np.mean(got[1][0] > 0) < 1
+        for sep, fused in zip(*got):
+            assert fused.dtype == sep.dtype
+            assert fused.tobytes() == sep.tobytes()
+
 
 # ----------------------------------------------------------- activations
 
@@ -477,6 +541,12 @@ class TestBilinearResize:
     def test_downscale_gradients(self):
         x = rand((1, 1, 6, 6), seed=16, grad=True)
         check_gradients(lambda x: (bilinear_resize(x, 3, 3) * 2.0).sum(), [x])
+
+    def test_one_entry_axis_is_a_column_of_ones(self):
+        for align_corners in (True, False):
+            np.testing.assert_array_equal(
+                engine._resize_matrix(1, 3, align_corners, np.float64),
+                np.ones((3, 1)))
 
 
 # -------------------------------------------------------------- concat
@@ -654,15 +724,18 @@ class TestBackward:
         r = watch("relu", relu(watch("concat", concat_channels([s, y]))))
         h = conv2d(r, w, padding=1)
         b = batch_norm(h, gamma, beta, np.zeros(4), np.ones(4), training=True)
-        u = watch("resize_same", bilinear_resize(watch("batch_norm", b), 6, 6))
+        v = batch_norm(h, gamma, beta, np.zeros(4), np.ones(4), True, relu=True)
+        u = watch("resize_same", bilinear_resize(
+            watch("batch_norm", b) + watch("batch_norm_relu", v), 6, 6))
         d = watch("resize", bilinear_resize(u, 9, 9))
         p = watch("global_avg_pool", global_avg_pool(d))
         return mean_all(exp(d)) + sigmoid(p).sum()
 
     def test_closures_keep_only_what_backward_reads(self):
-        # add, sub, concat, resize and pooling keep shapes only, batch norm
-        # keeps its input, not its output; relu keeps its output, which the
-        # conv after it keeps as its input, until backward frees both
+        # add, sub, concat, resize and pooling keep shapes only, batch norm,
+        # with or without its ReLU, keeps its input, not its output; relu
+        # keeps its output, which the conv after it keeps as its input,
+        # until backward frees both
         tensors = [rand((2, 3, 6, 6), seed=41, grad=True),
                    rand((2, 3, 6, 6), seed=42, grad=True),
                    rand((4, 6, 3, 3), seed=43, scale=0.3, grad=True),
@@ -671,9 +744,9 @@ class TestBackward:
         refs = {}
         loss = self._watched_graph(*tensors, refs)
         kept = refs.pop("relu")
-        assert sorted(refs) == ["add", "batch_norm", "concat",
-                                "global_avg_pool", "resize", "resize_same",
-                                "sub"]
+        assert sorted(refs) == ["add", "batch_norm", "batch_norm_relu",
+                                "concat", "global_avg_pool", "resize",
+                                "resize_same", "sub"]
         assert {name: ref() is None for name, ref in refs.items()} == \
             dict.fromkeys(refs, True)
         assert kept() is not None
@@ -685,6 +758,47 @@ class TestBackward:
 
         for t in tensors:
             assert max_rel_error(t.grad, numerical_gradient(f, tensors, t)) < 1e-4
+
+
+# ------------------------------------------------------------ step memory
+
+
+def graph_nodes(loss):
+    """The graph nodes a loss reaches (leaves are not nodes)."""
+    seen, stack = set(), [loss._node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, engine._Node) and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.parents)
+    return len(seen)
+
+
+def test_default_model_step_memory():
+    """The bytes a float32 default-model step (batch 8, 64x64) keeps alive
+    for ``backward()``, and its graph's node count.
+
+    tracemalloc counts every numpy buffer allocated from the start of the
+    forward and alive when the loss is returned: 83.6 MiB with a separate
+    ReLU node after each of the 67 ConvBNReLU blocks' batch norm (467
+    nodes), 72.0 MiB with the ReLU inside the norm's node (400 nodes).  The
+    figure depends only on shapes and dtypes, not on timing.  The bound,
+    78 MiB, lies halfway: 6 MiB above today's figure, and it fails if the
+    block ReLU outputs that no consumer needs are kept again."""
+    cfg = ModelConfig()
+    model = EFANet(cfg, seed=0, dtype=np.float32)
+    rng = np.random.default_rng(0)
+    image = Tensor(rng.normal(size=(8, 1, 64, 64)).astype(np.float32))
+    mask = (rng.random((8, 1, 64, 64)) < 0.3).astype(np.float32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = total_loss(model(image), mask, mask, cfg).total
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert graph_nodes(loss) == 400
+    assert kept < 78 * 2 ** 20, f"{kept / 2 ** 20:.1f} MiB kept for backward"
 
 
 # ----------------------------------------------------------------- adam
