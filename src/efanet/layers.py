@@ -136,11 +136,39 @@ class ConvBNReLU(Module):
         self.bn = BatchNorm2d(cout, dtype=dtype)
 
     def forward(self, x):
-        out = self.bn(self.conv(x), relu=True)
+        return self.bn_relu(self.conv(x))
+
+    def bn_relu(self, y):
+        """Batch norm and ReLU of the conv's output `y`."""
+        out = self.bn(y, relu=True)
         # the ReLU's FLOPs, as engine.relu books them, on this block's scope:
         # the analyzer's ledger puts them here and the norm's on .bn
         engine._record_flops("elementwise", out.size)
         return out
+
+
+def sibling_blocks(blocks, x):
+    """ConvBNReLU `blocks` of one conv geometry applied to one input `x`, as
+    one conv of their weights and biases stacked along Cout: each block's
+    batch norm and ReLU take its slice of the output channels.  Each block's
+    FLOPs are booked on its own scopes, as separate calls book them."""
+    convs = [block.conv for block in blocks]
+    first = convs[0]
+    with engine.unrecorded():
+        y = engine.conv2d(x, engine.concat([c.weight for c in convs], 0),
+                          engine.concat([c.bias for c in convs], 0),
+                          stride=first.stride, padding=first.padding,
+                          dilation=first.dilation)
+    outs, start = [], 0
+    for block in blocks:
+        part = engine.channel_slice(y, start, start + block.conv.weight.shape[0])
+        start += part.shape[1]
+        with engine.scoped(block.scope):
+            with engine.scoped(block.conv.scope):
+                engine._record_flops(
+                    "conv", 2 * part.size * block.conv.weight.data[0].size)
+            outs.append(block.bn_relu(part))
+    return outs
 
 
 class ResidualBlock(Module):

@@ -147,17 +147,30 @@ def weighted_fmeasure(pred, gt):
     p, g = _prep(pred, gt)
     if not g.any():
         raise EmptyGroundTruthError("weighted F-measure undefined for empty G")
-    dst, idx = ndimage.distance_transform_edt(~g, return_indices=True)
+    # the nearest foreground pixel; its distance as scipy computes it, from
+    # the integer offsets
+    idx = ndimage.distance_transform_edt(~g, return_distances=False,
+                                         return_indices=True)
+    dy = idx[0] - np.arange(g.shape[0])[:, None]
+    dx = idx[1] - np.arange(g.shape[1])
+    dst = np.sqrt((dy * dy + dx * dx).astype(np.float64))
     err = np.abs(p - g)
+    # only G pixels read the smoothed error, and the kernel reaches `half`
+    # pixels, so it is computed on G's bounding box grown by `half`
+    k = _gauss_kernel()
+    half = k.size // 2
+    rows, cols = np.nonzero(g.any(axis=1))[0], np.nonzero(g.any(axis=0))[0]
+    box = (slice(max(rows[0] - half, 0), rows[-1] + half + 1),
+           slice(max(cols[0] - half, 0), cols[-1] + half + 1))
     # the nearest foreground pixel of a G pixel is the pixel itself
-    err_t = err[idx[0], idx[1]]
+    err_t = err[idx[0][box], idx[1][box]]
     # replicate borders: a constant error field must be a smoothing fixed
     # point, so an all-wrong prediction gets weighted recall exactly 0
-    k = _gauss_kernel()
     smoothed = ndimage.correlate1d(
         ndimage.correlate1d(err_t, k, axis=0, mode="nearest"),
         k, axis=1, mode="nearest")
-    min_err = np.where(g & (smoothed < err), smoothed, err)
+    min_err = err.copy()
+    min_err[box] = np.where(g[box] & (smoothed < err[box]), smoothed, err[box])
     # dst is 0 on G, so G's weight is exactly 1
     ew = min_err * (2.0 - np.exp(np.log(0.5) / 5.0 * dst))
     ng = g.sum()

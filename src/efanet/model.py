@@ -14,7 +14,7 @@ from . import engine
 from .backbone import Backbone, BackboneConfig
 from .engine import (Tensor, bilinear_resize, concat_channels,
                      global_avg_pool, relu, sigmoid)
-from .layers import Conv2d, ConvBNReLU, Module, NamedList
+from .layers import Conv2d, ConvBNReLU, Module, NamedList, sibling_blocks
 
 
 @dataclass
@@ -125,9 +125,8 @@ class CrossLevelFusion(Module):
                 f"cross-level fusion needs matching spatial sizes, got "
                 f"{fa.shape} vs {fb.shape}")
         cat = concat_channels([fa, fb])
-        cat1 = self.branch1(cat)
-        cat2 = self.branch2(cat)
-        cat3 = self.branch3(cat)
+        cat1, cat2, cat3 = sibling_blocks(
+            (self.branch1, self.branch2, self.branch3), cat)
         w_local = sigmoid(self.local_pwc2(relu(self.local_pwc1(cat1))))
         w_global = sigmoid(self.global_pwc2(relu(self.global_pwc1(
             global_avg_pool(cat2)))))

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from efanet import engine
 from efanet.engine import (Adam, Tensor, backward, batch_norm,
-                           bilinear_resize, concat_channels, conv2d, exp,
-                           global_avg_pool, mean_all, relu, sigmoid)
+                           bilinear_resize, channel_slice, concat_channels,
+                           conv2d, exp, global_avg_pool, mean_all, relu,
+                           sigmoid)
 from efanet.model import EFANet, ModelConfig, total_loss
 from gradcheck import check_gradients, max_rel_error, numerical_gradient
 
@@ -183,27 +184,46 @@ class TestConv2d:
         check_conv_tap_loop((21, 19), channels, k, stride, padding, dilation)
 
     # one case per branch of the rule: (Cin, Cout), (H, W), k, stride,
-    # padding, dilation, and the methods of the forward and the input
-    # gradient; stride 2 and padding > dilation*(k-1) correlate the spread
-    # gradient
+    # padding, dilation, and the methods of the forward, the input gradient
+    # and the weight gradient; stride 2 and padding > dilation*(k-1)
+    # correlate the spread gradient, and a shifted forward's weight gradient
+    # stacks the taps into one GEMM per sample where Cin >= 2*Cout
     PLAN_CASES = [
-        ((6, 2), (12, 11), 3, 1, 1, 1, ("shift", "lower")),
-        ((2, 6), (12, 11), 3, 1, 1, 1, ("lower", "shift")),
-        ((3, 3), (12, 11), 3, 1, 1, 1, ("shift", "shift")),
-        ((3, 3), (12, 11), 3, 1, 3, 1, ("shift", "shift")),
-        ((3, 3), (12, 11), 3, 2, 1, 1, ("lower", "shift")),
-        ((3, 3), (12, 11), 1, 1, 0, 1, ("lower", "lower")),
+        ((6, 2), (12, 11), 3, 1, 1, 1, ("shift", "lower", "stacked")),
+        ((2, 6), (12, 11), 3, 1, 1, 1, ("lower", "shift", "lower")),
+        ((3, 3), (12, 11), 3, 1, 1, 1, ("shift", "shift", "taps")),
+        ((3, 3), (12, 11), 3, 1, 3, 1, ("shift", "shift", "taps")),
+        ((3, 3), (12, 11), 3, 2, 1, 1, ("lower", "shift", "lower")),
+        ((3, 3), (12, 11), 1, 1, 0, 1, ("lower", "lower", "lower")),
         # dilation 8 on a narrow map: 16 junk columns against 10 outputs
-        ((3, 3), (9, 10), 3, 1, 8, 8, ("lower", "lower")),
-        ((6, 2), (9, 10), 3, 1, 8, 8, ("lower", "lower")),
-        ((2, 6), (9, 10), 3, 1, 8, 8, ("lower", "lower")),
+        ((3, 3), (9, 10), 3, 1, 8, 8, ("lower", "lower", "lower")),
+        ((6, 2), (9, 10), 3, 1, 8, 8, ("lower", "lower", "lower")),
+        ((2, 6), (9, 10), 3, 1, 8, 8, ("lower", "lower", "lower")),
         # the spread gradient of a stride-2 conv 6 -> 2 lowers (Cout > Cin
         # in its call)
-        ((6, 2), (12, 11), 3, 2, 1, 1, ("lower", "lower")),
+        ((6, 2), (12, 11), 3, 2, 1, 1, ("lower", "lower", "lower")),
+        # each side of Cin >= 2*Cout, dilated and padded past d*(k-1)
+        ((4, 2), (12, 21), 3, 1, 2, 2, ("shift", "lower", "stacked")),
+        ((5, 3), (12, 21), 3, 1, 2, 2, ("shift", "lower", "taps")),
+        ((4, 2), (12, 11), 3, 1, 3, 1, ("shift", "lower", "stacked")),
+        ((5, 3), (12, 11), 3, 1, 3, 1, ("shift", "lower", "taps")),
     ]
 
+    @staticmethod
+    def spy_weight_grads(monkeypatch):
+        """The list that gets "stacked" or "taps" per shifted weight
+        gradient."""
+        methods = []
+        for name, method in (("_stacked_weight_grad", "stacked"),
+                             ("_shift_weight_grad", "taps")):
+            def spy(*args, fn=getattr(engine, name), method=method):
+                methods.append(method)
+                return fn(*args)
+            monkeypatch.setattr(engine, name, spy)
+        return methods
+
     @pytest.mark.parametrize("case", PLAN_CASES)
-    def test_plan_branches(self, case):
+    def test_plan_branches(self, monkeypatch, case):
         (cin, cout), (h, w), k, stride, padding, dilation, plan = case
         method = {True: "shift", False: "lower"}
         fwd = method[engine._shifts(cin, cout, k, k, stride, dilation,
@@ -216,11 +236,44 @@ class TestConv2d:
         wp = (ow + 2 * q if stride == 1 and q >= 0
               else w + 2 * padding + dilation * (k - 1))
         gx = method[engine._shifts(cout, cin, k, k, 1, dilation, wp)]
-        assert (fwd, gx) == plan
+        weight_grads = self.spy_weight_grads(monkeypatch)
         for bias in (True, False):
             check_conv_gradients((cin, cout), k, stride, padding, dilation,
                                  bias, hw=(h, w))
         check_conv_tap_loop((h, w), (cin, cout), k, stride, padding, dilation)
+        gw = set(weight_grads) or {"lower"}
+        assert len(gw) == 1 and (fwd, gx) + tuple(gw) == plan
+
+    @staticmethod
+    def force_stacked(monkeypatch):
+        """Stack the taps of every shifted weight gradient, whatever
+        Cin/Cout; returns the list that gets one entry per such call."""
+        calls, stacked = [], engine._stacked_weight_grad
+
+        def spy(*args):
+            calls.append(args[0].shape)
+            return stacked(*args)
+
+        monkeypatch.setattr(engine, "_shift_weight_grad", spy)
+        return calls
+
+    # every geometry of test_gradients with the taps stacked; 3 -> 3 takes
+    # shifted windows forward wherever the junk rule allows
+    @pytest.mark.parametrize("bias", [True, False])
+    @conv_grid
+    def test_stacked_weight_grad_gradients(self, monkeypatch, stride, padding,
+                                           dilation, bias):
+        self.force_stacked(monkeypatch)
+        check_conv_gradients((3, 3), 3, stride, padding, dilation, bias)
+
+    @conv_grid
+    def test_stacked_weight_grad_matches_tap_loop_reference(
+            self, monkeypatch, stride, padding, dilation):
+        calls = self.force_stacked(monkeypatch)
+        check_conv_tap_loop((21, 19), (3, 3), 3, stride, padding, dilation,
+                            n=3)
+        shifted = engine._shifts(3, 3, 3, 3, stride, dilation, 19 + 2 * padding)
+        assert len(calls) == shifted
 
     # (Cin, Cout), stride and the padded shapes `_lower` is handed: the
     # forward and the weight gradient lower each of 4 samples once, and the
@@ -243,10 +296,13 @@ class TestConv2d:
         assert shapes == lowered
 
     def test_default_model_step_methods(self, monkeypatch):
-        """The (forward, input gradient) methods `_shifts` picks for the 109
-        convs of one batch-8 64x64 training step of the default model."""
+        """The (forward, input gradient) methods `_shifts` picks for the 101
+        conv calls of one batch-8 64x64 training step of the default model
+        (109 convs, each CFM's three branch convs as one call), and the
+        shifted weight gradients that stack their taps."""
         calls = []
         correlate = engine._correlate
+        weight_grads = self.spy_weight_grads(monkeypatch)
 
         def spy(a, wt, ph, pw, stride, dilation):
             shifts = engine._shifts(a.shape[1], wt.shape[0], *wt.shape[2:],
@@ -273,9 +329,15 @@ class TestConv2d:
         methods = Counter((method, grads[key].pop() if grads.get(key) else "none")
                           for key, method in forward)
         assert not any(grads.values())
-        assert methods == {("lower", "lower"): 66, ("lower", "shift"): 3,
+        # a CFM's fused 64 -> 192 branch conv lowers forward, and its input
+        # gradient, 192 -> 64, takes shifted windows as the three 64 -> 64
+        # convs did, except on cfm4's 4x4 map, where both lower
+        assert methods == {("lower", "lower"): 64, ("lower", "shift"): 6,
                            ("lower", "none"): 1, ("shift", "lower"): 8,
-                           ("shift", "shift"): 31}
+                           ("shift", "shift"): 22}
+        # stacked: CFM out 192 -> 32 and SCM fuse_cat 96 -> 32 on the 32, 16
+        # and 8 px maps, and EGM fuse_edge 64 -> 32
+        assert Counter(weight_grads) == {"stacked": 7, "taps": 23}
 
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (1, 3)])
     def test_input_without_gradient(self, monkeypatch, stride, padding):
@@ -495,6 +557,22 @@ class TestActivations:
         assert got.dtype == dtype
         assert got.tobytes() == masked_sigmoid(d).tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_where_formula_bitwise(self, dtype):
+        """The sigmoid gives the bits of the formula it replaced, which
+        picked 1/(1 + e) or e/(1 + e), e = exp(-|d|), by np.where."""
+        info = np.finfo(dtype)
+        edges = [0.0, np.inf, np.nan, info.max, info.tiny,
+                 88.7, 103.9, 709.8, 745.2]
+        d = np.array(edges + [-v for v in edges], dtype=dtype)
+        assert np.signbit(d[len(edges) + 2])  # a NaN with its sign bit set
+        e = np.exp(np.minimum(d, -d))
+        want = np.where(d >= 0, 1 / (1 + e), e / (1 + e))
+        with np.errstate(over="raise", under="ignore"):
+            got = engine._sigmoid(d)
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
     def test_gradients(self):
         x = rand((2, 3), seed=13, grad=True)
         check_gradients(lambda x: (sigmoid(x) * sigmoid(x)).sum(), [x])
@@ -686,6 +764,37 @@ class TestBackward:
         np.testing.assert_array_equal(a.grad, 2 * s.data + 3)
         np.testing.assert_array_equal(b.grad, 2 * s.data + 5)
 
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))),
+                             ids=lambda order: "".join(map(str, order)))
+    def test_slice_gradients_go_into_one_buffer(self, order):
+        # p gets the gradient add shares with q by reference, and the
+        # gradients of two overlapping channel slices; in whatever order
+        # they reach it, the slices' gradients are added into a buffer of
+        # backward's own, never into the shared array
+        x = rand((2, 4, 3, 3), seed=45, grad=True)
+        w = rand((2, 4, 3, 3), seed=46, grad=True)
+        r = rand((2, 4, 3, 3), seed=47).data
+        p, q = x * 2.0, w * 3.0
+        terms = [((p + q) * r).sum(),
+                 (channel_slice(p, 0, 3) * r[:, :3]).sum(),
+                 (channel_slice(p, 1, 4) * 5.0).sum()]
+        backward(terms[order[0]] + terms[order[1]] + terms[order[2]])
+        gp = r.copy()
+        gp[:, :3] += r[:, :3]
+        gp[:, 1:] += 5.0
+        np.testing.assert_allclose(x.grad, 2.0 * gp, rtol=1e-15)
+        np.testing.assert_array_equal(w.grad, 3.0 * r)
+
+    def test_channel_slice_is_a_view(self):
+        x = rand((2, 5, 3, 3), seed=48, grad=True)
+        part = channel_slice(x, 1, 4)
+        assert part.data.base is x.data
+        np.testing.assert_array_equal(part.data, x.data[:, 1:4])
+        backward(part.sum())
+        want = np.zeros(x.shape)
+        want[:, 1:4] = 1.0
+        np.testing.assert_array_equal(x.grad, want)
+
     def test_leaf_grad_is_its_own_array(self):
         # x.sum() passes x a read-only broadcast view of the loss gradient
         x = rand((2, 3), seed=40, grad=True)
@@ -776,15 +885,24 @@ def graph_nodes(loss):
 
 def test_default_model_step_memory():
     """The bytes a float32 default-model step (batch 8, 64x64) keeps alive
-    for ``backward()``, and its graph's node count.
+    for ``backward()``, the peak through ``backward()``, and its graph's
+    node count.
 
     tracemalloc counts every numpy buffer allocated from the start of the
-    forward and alive when the loss is returned: 83.6 MiB with a separate
-    ReLU node after each of the 67 ConvBNReLU blocks' batch norm (467
-    nodes), 72.0 MiB with the ReLU inside the norm's node (400 nodes).  The
-    figure depends only on shapes and dtypes, not on timing.  The bound,
-    78 MiB, lies halfway: 6 MiB above today's figure, and it fails if the
-    block ReLU outputs that no consumer needs are kept again."""
+    forward.  Kept when the loss is returned: 83.6 MiB with a separate ReLU
+    node after each of the 67 ConvBNReLU blocks' batch norm (467 nodes),
+    72.0 MiB with the ReLU inside the norm's node (400 nodes), 73.7 MiB
+    with each CFM's three branch convs as one conv: its stacked weights
+    (1.7 MiB over the four CFMs) are kept for the input gradient.  The
+    412 nodes are 400, less 2 conv nodes per CFM, plus per CFM the weight
+    and bias concatenations and three channel slices.  The peak from the
+    forward's start to the end of ``backward()`` is 76.1 MiB (75.0 before
+    the fusion); a mutated ``backward`` that gave each slice's gradient its
+    own zero-padded full-size array and summed them peaked at 82.2.  These
+    figures depend only on shapes and dtypes, not on timing.  The bounds
+    lie about halfway: 78 MiB kept fails if the block ReLU outputs that no
+    consumer needs are kept again, and a 79 MiB peak fails if the slices'
+    gradients stop going into one buffer."""
     cfg = ModelConfig()
     model = EFANet(cfg, seed=0, dtype=np.float32)
     rng = np.random.default_rng(0)
@@ -795,10 +913,14 @@ def test_default_model_step_memory():
         base = tracemalloc.get_traced_memory()[0]
         loss = total_loss(model(image), mask, mask, cfg).total
         kept = tracemalloc.get_traced_memory()[0] - base
+        nodes = graph_nodes(loss)
+        backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert graph_nodes(loss) == 400
+    assert nodes == 412
     assert kept < 78 * 2 ** 20, f"{kept / 2 ** 20:.1f} MiB kept for backward"
+    assert peak < 79 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB peak through backward"
 
 
 # ----------------------------------------------------------------- adam

@@ -110,7 +110,60 @@ class TestSMeasure:
         np.testing.assert_allclose(s_measure(np.full((8, 8), 0.7), g), 0.7)
 
 
+def whole_map_weighted_fmeasure(pred, gt):
+    """`weighted_fmeasure` as it was before its crop: scipy's distances, and
+    the nearest-foreground gather and both Gaussian passes over the whole
+    map, not only around G."""
+    p, g = metrics._prep(pred, gt)
+    dst, idx = ndimage.distance_transform_edt(~g, return_indices=True)
+    err = np.abs(p - g)
+    k = metrics._gauss_kernel()
+    smoothed = ndimage.correlate1d(
+        ndimage.correlate1d(err[idx[0], idx[1]], k, axis=0, mode="nearest"),
+        k, axis=1, mode="nearest")
+    min_err = np.where(g & (smoothed < err), smoothed, err)
+    ew = min_err * (2.0 - np.exp(np.log(0.5) / 5.0 * dst))
+    ng = g.sum()
+    ew_fg = ew[g].sum()
+    tp_w = ng - ew_fg
+    precision = tp_w / (tp_w + ew.sum() - ew_fg + metrics._EPS)
+    recall = 1.0 - ew_fg / ng
+    f = ((1.0 + metrics.WEIGHTED_F_BETA_SQ) * precision * recall /
+         (metrics.WEIGHTED_F_BETA_SQ * precision + recall + metrics._EPS))
+    return float(np.clip(f, 0.0, 1.0))
+
+
+def weighted_f_case(name, shape=(40, 37)):
+    """A ground truth that touches the image border, or of one pixel."""
+    g = np.zeros(shape)
+    if name == "corner":
+        g[:5, :4] = 1.0
+    elif name == "edges":
+        g[-2:, 6:30] = 1.0
+        g[10:20, -1] = 1.0
+    elif name == "full-width":
+        g[12:15, :] = 1.0
+    elif name == "pixel":
+        g[17, 23] = 1.0
+    elif name == "corner-pixel":
+        g[-1, 0] = 1.0
+    return g
+
+
 class TestWeightedF:
+    @pytest.mark.parametrize("kind", ["random", "smoothed", "all-wrong"])
+    @pytest.mark.parametrize("name", ["corner", "edges", "full-width",
+                                      "pixel", "corner-pixel"])
+    def test_crop_is_bitwise(self, name, kind):
+        """Gathering and smoothing only on G's grown bounding box, and the
+        distances from the integer offsets, give the whole-map bits."""
+        g = weighted_f_case(name)
+        rng = np.random.default_rng(7)
+        p = {"random": rng.random(g.shape),
+             "smoothed": ndimage.gaussian_filter(g, 2.0),
+             "all-wrong": 1.0 - g}[kind]
+        assert weighted_fmeasure(p, g) == whole_map_weighted_fmeasure(p, g)
+
     def test_self_identity(self):
         g = half_ones()
         assert abs(weighted_fmeasure(g, g) - 1.0) < 1e-6

@@ -8,12 +8,14 @@ import pytest
 from scipy import ndimage
 
 import efanet
+from efanet import engine
 from efanet import model as M
 from efanet.backbone import BackboneConfig
 from efanet.engine import Adam, Tensor, backward
 from efanet.layers import Module
-from efanet.model import (EFANet, ModelConfig, ScaleAwareConv,
-                          boundary_weights, edge_loss, seg_loss, total_loss)
+from efanet.model import (CrossLevelFusion, EFANet, ModelConfig,
+                          ScaleAwareConv, boundary_weights, edge_loss,
+                          seg_loss, total_loss)
 from gradcheck import max_rel_error, numerical_gradient
 
 
@@ -111,6 +113,48 @@ class TestArchitecture:
         rng = np.random.default_rng(2)
         out = scm(Tensor(rng.random((1, 3, 20, 20))))
         assert out.shape == (1, 8, 20, 20)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_cfm_sibling_convs_match_separate_blocks(self, monkeypatch,
+                                                     training):
+        """A CFM's three branch convs as one conv give the output, every
+        parameter and input gradient and the batch-norm running statistics
+        of three separate ConvBNReLU calls, to 1e-12 in float64."""
+        conv2d, results = engine.conv2d, []
+
+        def counted(*args, **kwargs):
+            convs[0] += 1
+            return conv2d(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "conv2d", counted)
+        for fused in (True, False):
+            if not fused:
+                monkeypatch.setattr(M, "sibling_blocks",
+                                    lambda blocks, x: [b(x) for b in blocks])
+            cfm = CrossLevelFusion(4, 2, np.random.default_rng(4), np.float64)
+            cfm.set_training(training)
+            rng = np.random.default_rng(5)
+            fa, fb = (Tensor(rng.normal(size=(3, 4, 9, 10)), requires_grad=True)
+                      for _ in range(2))
+            convs = [0]
+            out = cfm(fa, fb)
+            backward((out * rng.normal(size=out.shape)).sum())
+            arrays = {"out": out.data, "fa": fa.grad, "fb": fb.grad}
+            arrays.update((name, p.grad) for name, p in cfm.named_parameters())
+            arrays.update(cfm.named_buffers())
+            results.append((convs[0], arrays))
+        (n_fused, fused), (n_separate, separate) = results
+        # the branches, four 1x1 convs and the output conv
+        assert (n_fused, n_separate) == (6, 8)
+        assert fused.keys() == separate.keys()
+        for name, want in separate.items():
+            err = np.max(np.abs(fused[name] - want))
+            if training and name.endswith("conv.bias"):
+                # batch norm cancels the bias of the conv before it: the
+                # exact gradient is 0, and both sides hold rounding noise
+                assert max(err, np.max(np.abs(want))) < 1e-12, name
+            else:
+                assert err <= 1e-12 * np.max(np.abs(want)), name
 
     def test_backward_reaches_all_parameters(self):
         net = make(seed=1)
