@@ -151,9 +151,11 @@ def weighted_fmeasure(pred, gt):
     # the integer offsets
     idx = ndimage.distance_transform_edt(~g, return_distances=False,
                                          return_indices=True)
-    dy = idx[0] - np.arange(g.shape[0])[:, None]
-    dx = idx[1] - np.arange(g.shape[1])
-    dst = np.sqrt((dy * dy + dx * dx).astype(np.float64))
+    dy = idx[0] - np.arange(g.shape[0], dtype=idx.dtype)[:, None]
+    dx = idx[1] - np.arange(g.shape[1], dtype=idx.dtype)
+    dy *= dy
+    dy += dx * dx
+    dst = np.sqrt(dy, dtype=np.float64)
     err = np.abs(p - g)
     # only G pixels read the smoothed error, and the kernel reaches `half`
     # pixels, so it is computed on G's bounding box grown by `half`
@@ -169,10 +171,12 @@ def weighted_fmeasure(pred, gt):
     smoothed = ndimage.correlate1d(
         ndimage.correlate1d(err_t, k, axis=0, mode="nearest"),
         k, axis=1, mode="nearest")
-    min_err = err.copy()
-    min_err[box] = np.where(g[box] & (smoothed < err[box]), smoothed, err[box])
-    # dst is 0 on G, so G's weight is exactly 1
-    ew = min_err * (2.0 - np.exp(np.log(0.5) / 5.0 * dst))
+    np.copyto(err[box], smoothed, where=g[box] & (smoothed < err[box]))
+    # the weight 2 - exp(log(0.5) / 5 * dst), built in dst's buffer; dst is
+    # 0 on G, so G's weight is exactly 1
+    dst *= np.log(0.5) / 5.0
+    ew = np.subtract(2.0, np.exp(dst, out=dst), out=dst)
+    ew *= err
     ng = g.sum()
     ew_fg = ew[g].sum()
     tp_w = ng - ew_fg

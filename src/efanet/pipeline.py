@@ -164,8 +164,9 @@ def _smooth_noise(rng, size, cells, amplitude):
     return amplitude * resize_bilinear_np(coarse, size, size, align_corners=True)
 
 
-def _render_blob(size, cy, cx, ry, rx, theta, wobble_amp, wobble_phase):
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+def _render_blob(box, cy, cx, ry, rx, theta, wobble_amp, wobble_phase):
+    """The blob's pixels inside `box`, a (rows, cols) pair of slices."""
+    yy, xx = np.mgrid[box].astype(np.float64)
     dy, dx = yy - cy, xx - cx
     ct, st = np.cos(theta), np.sin(theta)
     u = (ct * dx + st * dy) / rx
@@ -176,6 +177,12 @@ def _render_blob(size, cy, cx, ry, rx, theta, wobble_amp, wobble_phase):
     for k, (amp, ph) in enumerate(zip(wobble_amp, wobble_phase), start=2):
         limit = limit + amp * np.cos(k * phi + ph)
     return rho <= limit
+
+
+def _blob_box(size, cy, cx, reach):
+    """Rows and columns within `reach` of (cy, cx), clipped to the image."""
+    return tuple(slice(max(int(c - reach), 0), min(int(c + reach) + 1, size))
+                 for c in (cy, cx))
 
 
 def _synth_pair(rng, size):
@@ -202,15 +209,19 @@ def _synth_pair(rng, size):
         ry = r0 * rng.uniform(0.75, 1.25)
         rx = r0 * rng.uniform(0.75, 1.25)
         wob_amp = rng.uniform(0.0, 0.08, size=3)
-        margin = max(ry, rx) * (1.0 + wob_amp.sum()) + 2.0
-        margin = min(margin, size / 2.0 - 1.0)
+        # rho >= distance / max(ry, rx) and the wobbled limit is at most
+        # 1 + sum(wob_amp), so no blob pixel lies farther than `reach`
+        reach = max(ry, rx) * (1.0 + wob_amp.sum()) + 2.0
+        margin = min(reach, size / 2.0 - 1.0)
         cy = rng.uniform(margin, size - margin)
         cx = rng.uniform(margin, size - margin)
-        blob = _render_blob(size, cy, cx, ry, rx, rng.uniform(0.0, np.pi),
+        box = _blob_box(size, cy, cx, reach)
+        blob = _render_blob(box, cy, cx, ry, rx, rng.uniform(0.0, np.pi),
                             wob_amp, rng.uniform(0.0, 2 * np.pi, size=3))
         fg = base + 0.3 + rng.uniform(0.0, 0.2)
-        image[blob] = fg + _smooth_noise(rng, size, max(4, size // 8), 0.04)[blob]
-        mask |= blob
+        tex = _smooth_noise(rng, size, max(4, size // 8), 0.04)
+        image[box][blob] = fg + tex[box][blob]
+        mask[box] |= blob
     if not mask.any():  # generator constraint: every mask is nonempty
         mask[size // 2, size // 2] = True
         image[size // 2, size // 2] = min(base + 0.4, 0.95)
@@ -231,8 +242,12 @@ def synth_blob_dataset(n, size, seed, out_dir, train_fraction=0.8):
 
     Deterministic from the seed, byte for byte.
     """
-    if size % 32:
-        raise ValueError("size must be divisible by 32")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if size < 32 or size % 32:
+        raise ValueError(f"size must be a positive multiple of 32, got {size}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(seed)
     n_train = int(round(n * train_fraction))

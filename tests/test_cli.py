@@ -359,6 +359,21 @@ class TestSynthCommand:
         splits = [r[3] for r in records]
         assert splits.count("train") == 5 and splits.count("test") == 1
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--n", "-3"), ("--n", "0"), ("--size", "0"), ("--size", "-32"),
+        ("--seed", "-1")])
+    def test_out_of_range_argument_is_2(self, tmp_path, capsys, flag, value):
+        args = {"--n": "4", "--size": "32", "--seed": "0", flag: value}
+        out = tmp_path / "d"
+        argv = ["synth", "--out", str(out)]
+        for name, v in args.items():
+            argv += [name, v]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag[2:]} must be ")
+        assert err.endswith(f", got {value}\n") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def _train(self, tmp_path, dataset, name, **kw):

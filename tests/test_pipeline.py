@@ -18,6 +18,81 @@ AUGMENT_SHA256 = {
 }
 
 
+# SHA-256 of every file synth_blob_dataset(n, size, seed) writes, keyed by
+# (n, size, seed).  Two blobs of the 32 px set and one of the 64 px set reach
+# past the image border, so the pin covers the clipped drawing boxes.
+SYNTH_SHA256 = {
+    (8, 32, 1): {
+        "blob0000.pgm":
+            "7651c5602510396fd2e60c2e1dd9b6fc07e1c881b68354e30355b97cb8c98a64",
+        "blob0000_mask.pgm":
+            "681493fec29b8b0aaeb31960999aa91e7219760167df75082ce391819f8ba694",
+        "blob0001.pgm":
+            "4223e5fda6fe5b2e755e2bb33807c6b24a663ae35cf952356fdcde0f092706c9",
+        "blob0001_mask.pgm":
+            "4142793b78c28b158d0bb5d5f87e6631c8cdada8b106bf29293d6ab7e596f689",
+        "blob0002.pgm":
+            "8d32298b94ece11760d1c66b99ce731e27e9e7e08ca5c4564835890f112af9af",
+        "blob0002_mask.pgm":
+            "e3138b876f3aafbc9b50838e4aa128e4f8601412559c5ed4bef5a3a40dbfece3",
+        "blob0003.pgm":
+            "ee92b1f865ca264a303dd0e76e199bac1e1f6358fa192df6c260aa79756ae7f5",
+        "blob0003_mask.pgm":
+            "049fb9458f5f8417c29c439948182d1cb1452d055b10677f6af5dd583591cb4f",
+        "blob0004.pgm":
+            "fa3663d88454872f3733a3f78e0e8ea72c99046a90245bd03e41ba21dfcd3b6d",
+        "blob0004_mask.pgm":
+            "e3047ffcfdded75d1dd5c52bef518ba6bd68d33f1621ef88cb1000188ed63bde",
+        "blob0005.pgm":
+            "2c5869de31088b4918b4237da03db401c8328594871f3fa7dea27ea6d57ad493",
+        "blob0005_mask.pgm":
+            "f12419029a493f614a14f73dd26321ebc9e8e71af4b3f4d7bdd48765bc0e5c9e",
+        "blob0006.pgm":
+            "b927ffa64bfd19e41b99cd029a9fd733e8a013d1298845e9a56df7aa59d92e5c",
+        "blob0006_mask.pgm":
+            "a89102e55c1db65a0d707251d05516eec2b223c4d354ed77e44356a97784b66b",
+        "blob0007.pgm":
+            "06b553e6476a09d24e58431f1af675588a9128a20183574b72facd541f479de3",
+        "blob0007_mask.pgm":
+            "1b28f9b9782d0902f63c53712cd079baf50818ea965519336d009f0371ca472b",
+        "manifest.tsv":
+            "92500a7889a9ab37b906634311c0361aa693156e9b585e95cc82c1a5da8fc595",
+    },
+    (4, 64, 10): {
+        "blob0000.pgm":
+            "3468ca295a596c3c5b0d59cb72937cabf94908431277333bd813f244cfba4424",
+        "blob0000_mask.pgm":
+            "615dc50541b64a3ae1712b1cf2222c79d34748a92fb4b488229e4755d8762915",
+        "blob0001.pgm":
+            "c7598950799138bb1e48b76f481060aee08eb30225a3e5152a67591489619731",
+        "blob0001_mask.pgm":
+            "75a1cfd274dbec0f3d713561f6cc197804275e54143defd4b641fc3ef24a3552",
+        "blob0002.pgm":
+            "5ca886587355d5b9e490f4b0acc48e61666ea6f92de74ce7e9115fa885141fd4",
+        "blob0002_mask.pgm":
+            "d556cd7152d11c625999e0eb35fffb2fe75c2e4a3b2c77592f571ad8ebb2088f",
+        "blob0003.pgm":
+            "eae0c5d2a9454da55cbb2f93a3cf548332c570b4430f876e72de9fcb7eb4aaf9",
+        "blob0003_mask.pgm":
+            "a776dbad06a6d8183cb024962fa4c15638c3498675326d4632e63fca5fbe8c02",
+        "manifest.tsv":
+            "65f8a0abc2ac82872bca254b8882665eb277d65656e83bfd9805dc00a46ea459",
+    },
+    (2, 352, 3): {
+        "blob0000.pgm":
+            "94f500faaea91ad6ea031486f33d96d2251ae6aa658e0f0a206c0cda652aae31",
+        "blob0000_mask.pgm":
+            "9f9cd5c969ccf46714426c383e468f6617ba5c7f66ddfa200e9b2cac9c70bfc7",
+        "blob0001.pgm":
+            "e0d27a6d5136d51363d2a5ad4b5d9d41911fb9487cea8639e2790c2d995ab1e6",
+        "blob0001_mask.pgm":
+            "93f1e401ab855815c3f9a63912f19cc74fc8724ec5fa9dcc8de88f20fe156692",
+        "manifest.tsv":
+            "5497f70e2b0bc5db17a5f892c293fa58d05b9136c0405be773f51703e6bac2ee",
+    },
+}
+
+
 def square_sample(size=16, lo=4, hi=12, radius=1, seed=0):
     rng = np.random.default_rng(seed)
     mask = np.zeros((1, size, size))
@@ -233,6 +308,41 @@ class TestSynth:
                 p1 = tmp_path / "a" / f"blob{i:04d}{suffix}"
                 p2 = tmp_path / "b" / f"blob{i:04d}{suffix}"
                 assert p1.read_bytes() == p2.read_bytes()
+
+    def test_blob_box_holds_the_whole_blob(self):
+        # the generator draws each blob only inside _blob_box; drawn on the
+        # whole map, the blob must have no pixel outside it
+        rng = np.random.default_rng(0)
+        size, clipped = 48, 0
+        for trial in range(400):
+            r0 = rng.uniform(1.5, 24.0)
+            ry, rx = r0 * rng.choice([0.75, 1.25, rng.uniform(0.75, 1.25)],
+                                     size=2)
+            if trial % 2:
+                # the largest wobble, every harmonic peaking at phi = 0
+                amp, phase = np.full(3, 0.08), np.zeros(3)
+            else:
+                amp = rng.uniform(0.0, 0.08, 3)
+                phase = rng.uniform(0.0, 2 * np.pi, 3)
+            cy, cx = rng.uniform(0.0, size, 2)
+            theta = rng.uniform(0.0, np.pi)
+            reach = max(ry, rx) * (1.0 + amp.sum()) + 2.0
+            box = pipeline._blob_box(size, cy, cx, reach)
+            placed = np.zeros((size, size), bool)
+            placed[box] = pipeline._render_blob(box, cy, cx, ry, rx, theta,
+                                                amp, phase)
+            whole = pipeline._render_blob(np.s_[0:size, 0:size], cy, cx, ry,
+                                          rx, theta, amp, phase)
+            np.testing.assert_array_equal(placed, whole)
+            clipped += min(cy, cx) < reach or max(cy, cx) + reach > size
+        assert 0 < clipped < 400
+
+    @pytest.mark.parametrize("n,size,seed", list(SYNTH_SHA256))
+    def test_dataset_bytes_pinned(self, tmp_path, n, size, seed):
+        synth_blob_dataset(n, size, seed, str(tmp_path))
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+        assert got == SYNTH_SHA256[n, size, seed]
 
     def test_split_fractions(self, tmp_path):
         manifest = synth_blob_dataset(10, 32, 1, str(tmp_path / "d"))
