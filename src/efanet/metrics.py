@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .pipeline import polyp_scale_ratio
 
@@ -144,6 +143,7 @@ def weighted_fmeasure(pred, gt):
     penalty on the distance transform; errors inside the background borrow
     the error of their nearest foreground pixel before Gaussian smoothing.
     """
+    from scipy import ndimage  # imported here: training never loads it
     p, g = _prep(pred, gt)
     if not g.any():
         raise EmptyGroundTruthError("weighted F-measure undefined for empty G")

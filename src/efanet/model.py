@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from . import engine
 from .backbone import Backbone, BackboneConfig
@@ -211,7 +210,8 @@ def _bce_map(logits, g):
 
 
 def boundary_weights(mask):
-    """Boundary-emphasis weight map 1 + 5*|meanpool_k(G) - G|.
+    """Boundary-emphasis weight map 1 + 5*|meanpool_k(G) - G|, the mean
+    over a k x k window with replicated borders.
 
     Kernel size scales with resolution: nearest odd to 31 * H / 352, min 3.
     """
@@ -219,9 +219,20 @@ def boundary_weights(mask):
     kernel = int(round(31.0 * g.shape[-2] / 352.0))
     kernel += (kernel + 1) % 2
     kernel = max(kernel, 3)
-    pooled = ndimage.uniform_filter(g, size=(1,) * (g.ndim - 2) + (kernel, kernel),
-                                    mode="nearest")
+    pooled = _box_mean(_box_mean(g, kernel, -2), kernel, -1)
     return 1.0 + 5.0 * np.abs(pooled - g)
+
+
+def _box_mean(a, k, axis):
+    """Mean over a centred window of odd length k along `axis`, borders
+    replicated, with scipy.ndimage.uniform_filter1d's arithmetic and so its
+    bits: the first window summed left to right, then one running sum of
+    (entering - leaving) values, each output that sum divided by k."""
+    n, half = a.shape[axis], k // 2
+    p = np.moveaxis(a, axis, 0)[np.clip(np.arange(-half, n + half), 0, n - 1)]
+    steps = np.concatenate([p[:k], p[k:] - p[:-k]])
+    sums = np.cumsum(steps, axis=0)[k - 1:]   # sequential, not pairwise
+    return np.moveaxis(sums / k, 0, axis)
 
 
 def _check_binary(arr, name):

@@ -7,14 +7,12 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dataio
 from .engine import resize_bilinear_np
 
-SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64)
-SOBEL_Y = SOBEL_X.T
-
+MAX_SYNTH_SIZE = 4096     # the generator holds several size x size float64 maps
 SMALL_THRESHOLD = 0.025   # foreground/total area ratio below which a polyp is "small"
 LARGE_THRESHOLD = 0.2     # ...above which it is "large"
 
@@ -68,14 +66,32 @@ def sobel_edge_gt(mask, dilation_radius=1):
         g = g[0]
     if not np.all((g == 0) | (g == 1)):
         raise ValueError("sobel_edge_gt: mask must be binary")
-    gx = ndimage.correlate(g, SOBEL_X, mode="nearest")
-    gy = ndimage.correlate(g, SOBEL_Y, mode="nearest")
-    edge = ((gx * gx + gy * gy) > 0) & (g == 1)
+    gx, gy = _sobel(g)
+    edge = ((gx != 0) | (gy != 0)) & (g == 1)
     if dilation_radius > 0:
-        size = 2 * dilation_radius + 1
-        edge = ndimage.binary_dilation(edge, structure=np.ones((size, size), bool))
+        edge = _dilate_square(edge, dilation_radius)
     out = edge.astype(np.float64)
     return out[None] if squeeze else out
+
+
+def _sobel(g):
+    """Horizontal and vertical 3x3 Sobel correlations of a 2-D array with
+    replicated borders: a central difference along one axis smoothed by
+    (1, 2, 1) along the other.  On a binary mask every sum is a small
+    integer, so the result is exact in any order."""
+    p = np.pad(g, 1, mode="edge")
+    dx = p[:, 2:] - p[:, :-2]
+    dy = p[2:] - p[:-2]
+    return (dx[:-2] + 2 * dx[1:-1] + dx[2:],
+            dy[:, :-2] + 2 * dy[:, 1:-1] + dy[:, 2:])
+
+
+def _dilate_square(edge, radius):
+    """Binary dilation by a (2r+1)^2 square, zero outside the frame: an OR
+    over each window of rows, then over each window of columns."""
+    n = 2 * radius + 1
+    rows = sliding_window_view(np.pad(edge, radius), n, axis=0).any(axis=-1)
+    return sliding_window_view(rows, n, axis=1).any(axis=-1)
 
 
 def polyp_scale_ratio(mask):
@@ -113,6 +129,7 @@ def _rotate(arr, degrees, mode):
     (scipy.ndimage's; "constant" fills with 0)."""
     if degrees % 90 == 0:
         return np.rot90(arr, int(degrees // 90) % 4, axes=(-2, -1))
+    from scipy import ndimage  # imported here: it costs ~26 MiB of RSS
     return np.stack([ndimage.rotate(c, degrees, reshape=False, order=1,
                                     mode=mode) for c in arr])
 
@@ -240,17 +257,22 @@ def synth_sample(rng, size, sample_id):
 def synth_blob_dataset(n, size, seed, out_dir, train_fraction=0.8):
     """Generate n samples as PGM files plus a train/test manifest.
 
-    Deterministic from the seed, byte for byte.
+    Deterministic from the seed, byte for byte.  `size` is a multiple of 32
+    up to MAX_SYNTH_SIZE.  A fraction strictly between 0 and 1 leaves at
+    least one test record when n >= 2.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if size < 32 or size % 32:
-        raise ValueError(f"size must be a positive multiple of 32, got {size}")
+    if size < 32 or size % 32 or size > MAX_SYNTH_SIZE:
+        raise ValueError(f"size must be a positive multiple of 32 and at most "
+                         f"{MAX_SYNTH_SIZE}, got {size}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(seed)
     n_train = int(round(n * train_fraction))
+    if 0 < train_fraction < 1 and n >= 2:
+        n_train = min(n_train, n - 1)
     split_rng = np.random.default_rng(seed + 1)
     order = split_rng.permutation(n)
     splits = {int(idx): ("train" if pos < n_train else "test")

@@ -1,11 +1,14 @@
 import hashlib
 import os
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import efanet
 from efanet import checkpoint, cli, dataio, pipeline
 from efanet.backbone import BackboneConfig
 from efanet.checkpoint import (CheckpointError, load_checkpoint,
@@ -361,6 +364,7 @@ class TestSynthCommand:
 
     @pytest.mark.parametrize("flag,value", [
         ("--n", "-3"), ("--n", "0"), ("--size", "0"), ("--size", "-32"),
+        ("--size", str(pipeline.MAX_SYNTH_SIZE + 32)), ("--size", "3200000"),
         ("--seed", "-1")])
     def test_out_of_range_argument_is_2(self, tmp_path, capsys, flag, value):
         args = {"--n": "4", "--size": "32", "--seed": "0", flag: value}
@@ -373,6 +377,53 @@ class TestSynthCommand:
         assert err.startswith(f"error: {flag[2:]} must be ")
         assert err.endswith(f", got {value}\n") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_two_samples_evaluate_on_default_split(self, tmp_path, capsys):
+        data = tmp_path / "d"
+        assert cli.main(["synth", "--n", "2", "--size", "32", "--seed", "0",
+                         "--out", str(data)]) == 0
+        ckpt = tmp_path / "toy.efac"
+        _toy_checkpoint(ckpt)
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--manifest",
+                         str(data / "manifest.tsv"),
+                         "--out", str(tmp_path / "eval")]) == 0
+        assert "evaluated 1 images" in capsys.readouterr().out
+
+
+# Run in a fresh interpreter, because this test session imports scipy itself.
+SCIPY_FREE_TRAINING = """
+import sys
+import efanet.cli
+from efanet import dataio
+from efanet.checkpoint import load_checkpoint
+from efanet.config import load_config
+from efanet.train import evaluate, predict_probability, train
+
+cfg = load_config(sys.argv[1])
+final, steps, _ = train(cfg)
+assert steps == 1, steps
+model, cfg, _, _ = load_checkpoint(final)
+model.eval()
+record = dataio.read_manifest(cfg.train.manifest)[0]
+predict_probability(model, dataio.read_pnm(record[1]), cfg.aug.target_size)
+assert "scipy.ndimage" not in sys.modules, "training loaded scipy.ndimage"
+evaluate(model, cfg, cfg.train.manifest)
+assert "scipy.ndimage" in sys.modules, "the weighted F-measure needs it"
+"""
+
+
+def test_training_and_prediction_never_import_scipy_ndimage(tmp_path,
+                                                            dataset):
+    cfg = tiny_run_config(tmp_path, manifest=dataset)
+    cfg.optim.max_steps = 1
+    cfg_path = tmp_path / "train.cfg"
+    save_config(cfg_path, cfg)
+    src = os.path.dirname(os.path.dirname(efanet.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run([sys.executable, "-c", SCIPY_FREE_TRAINING,
+                             str(cfg_path)], env=env, capture_output=True,
+                            text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
 
 
 class TestTrainCommand:

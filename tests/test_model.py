@@ -17,6 +17,7 @@ from efanet.model import (CrossLevelFusion, EFANet, ModelConfig,
                           ScaleAwareConv, boundary_weights, edge_loss,
                           seg_loss, total_loss)
 from gradcheck import max_rel_error, numerical_gradient
+from test_pipeline import filter_oracle_masks
 
 
 def tiny_config(**kw):
@@ -192,8 +193,21 @@ class TestLoss:
             g[0, 0, lo:hi, lo:hi] = 1.0
             pooled = ndimage.uniform_filter(g, size=(1, 1, kernel, kernel),
                                             mode="nearest")
-            np.testing.assert_allclose(boundary_weights(g),
-                                       1.0 + 5.0 * np.abs(pooled - g))
+            np.testing.assert_array_equal(boundary_weights(g),
+                                          1.0 + 5.0 * np.abs(pooled - g))
+
+    @pytest.mark.parametrize("mask", filter_oracle_masks())
+    def test_box_mean_matches_scipy(self, mask):
+        # kernels up to 31 on lines as short as 5, shorter than k // 2
+        for k in (3, 5, 7, 9, 15, 31):
+            for axis in (0, 1):
+                np.testing.assert_array_equal(
+                    M._box_mean(mask, k, axis),
+                    ndimage.uniform_filter1d(mask, k, axis, mode="nearest"))
+            np.testing.assert_array_equal(
+                M._box_mean(M._box_mean(mask[None, None], k, -2), k, -1),
+                ndimage.uniform_filter(mask[None, None], size=(1, 1, k, k),
+                                       mode="nearest"))
 
     def test_zero_logits_closed_form(self):
         # all-ones mask: w = 1 everywhere, so the loss reduces to

@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from efanet import dataio, pipeline
 from efanet.pipeline import (AugConfig, SegSample, augment, polyp_scale_ratio,
@@ -87,8 +88,9 @@ SYNTH_SHA256 = {
             "e0d27a6d5136d51363d2a5ad4b5d9d41911fb9487cea8639e2790c2d995ab1e6",
         "blob0001_mask.pgm":
             "93f1e401ab855815c3f9a63912f19cc74fc8724ec5fa9dcc8de88f20fe156692",
+        # blob0000 is its one test record: a fractional split keeps one
         "manifest.tsv":
-            "5497f70e2b0bc5db17a5f892c293fa58d05b9136c0405be773f51703e6bac2ee",
+            "94f39f687750af79aa1ca3a0f3b4c8e469f31eabd9b01a27f99bc9460d195ea1",
     },
 }
 
@@ -100,6 +102,52 @@ def square_sample(size=16, lo=4, hi=12, radius=1, seed=0):
     image = np.clip(rng.random((1, size, size)), 0.0, 1.0)
     return SegSample(image=image, mask=mask,
                      edge=sobel_edge_gt(mask, radius), id="sq")
+
+
+def filter_oracle_masks():
+    """2-D binary masks, one pytest.param each, for checking the numpy
+    filters against scipy.ndimage: random densities, all-0, all-1 and
+    one-pixel lines at sizes 5-96 and 352, and generator blobs."""
+    rng = np.random.default_rng(11)
+    masks = []
+    for h, w in [(5, 5), (5, 17), (9, 6), (12, 12), (23, 31), (64, 64),
+                 (96, 40), (352, 352)]:
+        for density in (0.05, 0.5, 0.95):
+            masks.append((f"random{density}", rng.random((h, w)) < density))
+        row, col = np.zeros((h, w), bool), np.zeros((h, w), bool)
+        row[h // 2] = True
+        col[:, w - 1] = True
+        masks += [("zeros", np.zeros((h, w), bool)),
+                  ("ones", np.ones((h, w), bool)), ("row", row), ("col", col)]
+    for size in (32, 64, 96, 352):
+        masks.append(("blob", pipeline._synth_pair(rng, size)[1][0] == 1))
+    return [pytest.param(m.astype(np.float64),
+                         id=f"{name}-{m.shape[0]}x{m.shape[1]}")
+            for name, m in masks]
+
+
+SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64)
+
+
+class TestFiltersMatchScipy:
+    """The numpy Sobel and dilation give scipy.ndimage's bits."""
+
+    @pytest.mark.parametrize("mask", filter_oracle_masks())
+    def test_sobel(self, mask):
+        gx, gy = pipeline._sobel(mask)
+        np.testing.assert_array_equal(
+            gx, ndimage.correlate(mask, SOBEL_X, mode="nearest"))
+        np.testing.assert_array_equal(
+            gy, ndimage.correlate(mask, SOBEL_X.T, mode="nearest"))
+
+    @pytest.mark.parametrize("mask", filter_oracle_masks())
+    def test_dilation(self, mask):
+        edge = mask == 1
+        for radius in range(4):
+            square = np.ones((2 * radius + 1,) * 2, bool)
+            np.testing.assert_array_equal(
+                pipeline._dilate_square(edge, radius),
+                ndimage.binary_dilation(edge, structure=square))
 
 
 class TestSobelEdge:
@@ -354,6 +402,16 @@ class TestSynth:
     def test_size_must_be_multiple_of_32(self, tmp_path):
         with pytest.raises(ValueError, match="32"):
             synth_blob_dataset(2, 40, 0, str(tmp_path / "bad"))
+
+    @pytest.mark.parametrize("n,fraction,n_train", [
+        (1, 0.8, 1), (2, 0.8, 1), (3, 0.8, 2), (5, 0.8, 4), (10, 0.99, 9),
+        (2, 1.0, 2), (2, 0.0, 0)])
+    def test_fractional_split_keeps_a_test_record(self, tmp_path, n,
+                                                  fraction, n_train):
+        manifest = synth_blob_dataset(n, 32, 4, str(tmp_path / "d"), fraction)
+        splits = [r[3] for r in dataio.read_manifest(manifest)]
+        assert splits.count("train") == n_train
+        assert splits.count("test") == n - n_train
 
     def test_load_sample_round_trip(self, tmp_path):
         manifest = synth_blob_dataset(3, 32, 5, str(tmp_path / "d"))
