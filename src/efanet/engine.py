@@ -15,6 +15,8 @@ closure keeps only what its formula reads:
     log, mul, div, conv2d                   their inputs' arrays
     batch_norm, and with relu=True its      its input's array, from which
     ReLU in the same node                   backward rebuilds the ReLU mask
+    structure_loss                          its sigmoid output, and its
+                                            target and weight arrays
 
 ``backward`` replays the graph in reverse topological order into the
 requires_grad leaves, freeing each node's parents and closure as it goes; a
@@ -63,6 +65,7 @@ __all__ = [
     "global_avg_pool",
     "sum_all",
     "mean_all",
+    "structure_loss",
     "Adam",
 ]
 
@@ -351,6 +354,59 @@ def global_avg_pool(x):
         return (np.broadcast_to(g / (h * w), shape),)
 
     return _make_node(data, (x,), bwd)
+
+
+def structure_loss(logits, g, w=None):
+    """One graph node for the loss of logits s against the target array g:
+    the mean BCE weighted by the array w plus the weighted IoU loss
+    1 - I/U, with p = sigmoid(s), I = sum(w*p*g) and U = sum(w*(p + g -
+    p*g)); with w None, the plain mean BCE alone.  The BCE is max(s,0) -
+    s*g + log1p(exp(-|s|)), and the sums run in float64.
+
+    The node keeps p, and g and w by reference; its gradient is
+    ds = w*(p - g)/sum(w) + (-w*g/U + I*w*(1 - g)/U**2) * p*(1 - p)."""
+    s, dtype = logits.data, logits.dtype
+    for name, a in (("target", g), ("weight", w)):
+        if a is not None and np.shape(a) != s.shape:
+            raise ValueError(f"structure_loss: {name} {np.shape(a)} vs logits "
+                             f"{s.shape}")
+    g = np.asarray(g, dtype=dtype)
+    p = _sigmoid(s)
+    bce = np.maximum(s, 0) - s * g + np.log1p(np.exp(-np.abs(s)))
+    _record_flops("elementwise", s.size)
+    if w is None:
+        n = s.size
+        data = np.asarray(bce.sum(dtype=np.float64) / n, dtype=dtype)
+
+        def bwd(up):
+            return ((p - g) * (float(up) / n),)
+
+        return _make_node(data, (logits,), bwd)
+
+    # float64 numpy scalars: an empty union (all-0 target, every p 0) gives
+    # a NaN loss, as any other non-finite loss does, not an exception
+    w = np.asarray(w, dtype=dtype)
+    wsum = w.sum(dtype=np.float64)
+    inter = np.sum(w * p * g, dtype=np.float64)
+    union = (np.sum(w * p, dtype=np.float64) + np.sum(w * g, dtype=np.float64)
+             - inter)
+    data = np.asarray(np.sum(w * bce, dtype=np.float64) / wsum
+                      + (1.0 - inter / union), dtype=dtype)
+    del bce
+
+    def bwd(up):
+        # w * (a*(p - g) + (c - (b + c)*g) * p*(1 - p)), with a = up/sum(w),
+        # b = up/U and c = up*I/U**2, as python floats: float64 numpy
+        # scalars would promote float32 maps
+        a, b, c = (float(v) for v in (up / wsum, up / union,
+                                      up * inter / union ** 2))
+        ds = p * (1 - p)
+        ds *= c - (b + c) * g
+        ds += (p - g) * a
+        ds *= w
+        return (ds,)
+
+    return _make_node(data, (logits,), bwd)
 
 
 # -- structural ops ----------------------------------------------------------

@@ -201,14 +201,6 @@ class EFANet(Module):
 # -- losses ------------------------------------------------------------------
 
 
-def _bce_map(logits, g):
-    """Per-pixel binary cross-entropy of logits s against the target Tensor g,
-    numerically stable: max(s,0) - s*g + log(1 + exp(-|s|))."""
-    s = logits
-    abs_s = relu(s) + relu(-s)
-    return relu(s) - s * g + engine.log(engine.exp(-abs_s) + 1.0)
-
-
 def boundary_weights(mask):
     """Boundary-emphasis weight map 1 + 5*|meanpool_k(G) - G|, the mean
     over a k x k window with replicated borders.
@@ -243,7 +235,8 @@ def _check_binary(arr, name):
 
 def seg_loss(side_logits, mask):
     """Weighted BCE + weighted IoU loss of each side output against one mask,
-    whose check, weight map and target are built once for all of them."""
+    whose check, weight map and target are built once for all of them; each
+    side output's loss is one graph node."""
     mask = np.asarray(mask)
     for logits in side_logits:
         if logits.shape != mask.shape:
@@ -251,25 +244,15 @@ def seg_loss(side_logits, mask):
                              f"{mask.shape}")
     _check_binary(mask, "mask")
     dtype = side_logits[0].dtype
-    w = Tensor(boundary_weights(mask).astype(dtype))
-    g = Tensor(mask.astype(dtype))
-    wsum = w.sum()
-    losses = []
-    for logits in side_logits:
-        l_bce = (w * _bce_map(logits, g)).sum() / wsum
-        p = sigmoid(logits)
-        inter = (w * p * g).sum()
-        union = (w * (p + g - p * g)).sum()
-        l_iou = 1.0 - inter / union
-        losses.append(l_bce + l_iou)
-    return losses
+    w = boundary_weights(mask).astype(dtype)
+    g = mask.astype(dtype)
+    return [engine.structure_loss(logits, g, w) for logits in side_logits]
 
 
 def edge_loss(edge_logits, edge_gt):
     """Plain mean BCE between the edge logits and the Sobel edge target."""
     _check_binary(edge_gt, "edge ground truth")
-    g = Tensor(np.asarray(edge_gt, dtype=edge_logits.dtype))
-    return engine.mean_all(_bce_map(edge_logits, g))
+    return engine.structure_loss(edge_logits, edge_gt)
 
 
 def total_loss(output: ModelOutput, mask, edge_gt, config: ModelConfig):

@@ -23,6 +23,10 @@ class NumericFailure(RuntimeError):
         self.last_checkpoint = last_checkpoint
 
 
+# The loss terms of LossBreakdown.values(), as train_log.tsv names them
+LOSS_TERMS = ("seg1", "seg2", "seg3", "seg4", "edge")
+
+
 def _round_to_32(x):
     return max(32, int(round(x / 32.0)) * 32)
 
@@ -77,7 +81,7 @@ def train(cfg: RunConfig):
     ratios = cfg.aug.scale_ratios if cfg.train.multiscale else (1.0,)
 
     with open(log_path, "w", encoding="utf-8") as log:
-        log.write("step\tepoch\tseg1\tseg2\tseg3\tseg4\tedge\ttotal\n")
+        log.write("\t".join(["step", "epoch", *LOSS_TERMS, "total"]) + "\n")
         for epoch in range(cfg.optim.epochs):
             if step >= cfg.optim.max_steps:
                 break
@@ -99,8 +103,11 @@ def train(cfg: RunConfig):
                 loss = total_loss(out, mask, edge, cfg.model)
                 seg_vals, edge_val, total_val = loss.values()
                 if not np.isfinite(total_val):
-                    raise NumericFailure(
-                        f"non-finite loss at step {step}", last_ckpt)
+                    bad = [k for k, v in zip(LOSS_TERMS, [*seg_vals, edge_val])
+                           if not np.isfinite(v)]
+                    raise NumericFailure(f"non-finite loss at step {step} "
+                                         f"({', '.join(bad or ['total'])})",
+                                         last_ckpt)
                 loss.total.backward()
                 opt.step()
                 step += 1

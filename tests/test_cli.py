@@ -808,3 +808,21 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "train", boom)
         assert cli.main(["train", "--config", str(cfg_path)]) == 4
+
+    def test_non_finite_loss_names_its_terms(self, tmp_path, dataset,
+                                             monkeypatch, capsys):
+        # a NaN weight in head2's last conv makes only S2, so only seg2
+        # and the total, non-finite
+        def poisoned(config, seed=0, dtype=np.float64):
+            model = EFANet(config, seed=seed, dtype=dtype)
+            model.heads.head2.out.weight.data[0, 0, 0, 0] = np.nan
+            return model
+
+        monkeypatch.setattr(efanet.train, "EFANet", poisoned)
+        cfg_path = tmp_path / "n.cfg"
+        save_config(cfg_path, tiny_run_config(tmp_path, manifest=dataset))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert "error: non-finite loss at step 0 (seg2);" in err
+        assert "seg1" not in err
+        assert "Traceback" not in err

@@ -13,7 +13,7 @@ from efanet.engine import (Adam, Tensor, backward, batch_norm,
                            bilinear_resize, channel_slice, concat_channels,
                            conv2d, exp, global_avg_pool, mean_all, relu,
                            sigmoid)
-from efanet.model import EFANet, ModelConfig, total_loss
+from efanet.model import EFANet, ModelConfig, boundary_weights, total_loss
 from gradcheck import check_gradients, max_rel_error, numerical_gradient
 
 
@@ -706,6 +706,105 @@ class TestGlobalAvgPool:
         np.testing.assert_allclose(x.grad, np.full(x.shape, 1 / 16))
 
 
+# ------------------------------------------------------- structure loss
+
+
+def composed_structure_loss(s, g, w=None):
+    """The loss op by op, as the model built it before ``structure_loss``:
+    kept as that op's float64 oracle.  27 graph nodes with w, 13 without."""
+    g = Tensor(g)
+    abs_s = relu(s) + relu(-s)
+    bce = relu(s) - s * g + engine.log(exp(-abs_s) + 1.0)
+    if w is None:
+        return mean_all(bce)
+    w, p = Tensor(w), sigmoid(s)
+    inter, union = (w * p * g).sum(), (w * (p + g - p * g)).sum()
+    return (w * bce).sum() / w.sum() + (1.0 - inter / union)
+
+
+LOSS_MASKS = ["random", "zeros", "ones", "one_pixel"]
+
+
+def loss_mask(kind, shape=(2, 1, 8, 8)):
+    if kind == "random":
+        return (np.random.default_rng(61).random(shape) < 0.3).astype(np.float64)
+    g = np.full(shape, 1.0 if kind == "ones" else 0.0)
+    if kind == "one_pixel":
+        g[0, 0, 2, 3] = 1.0
+    return g
+
+
+def loss_logits(kind, shape, seed=62):
+    """Normal logits, or saturated ones of random sign with |s| in [30, 40]."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.normal(scale=3.0, size=shape)
+    return rng.choice([-1.0, 1.0], size=shape) * rng.uniform(30, 40, size=shape)
+
+
+class TestStructureLoss:
+    @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "plain"])
+    @pytest.mark.parametrize("logits", ["random", "saturated"])
+    @pytest.mark.parametrize("mask", LOSS_MASKS)
+    def test_matches_composition(self, mask, logits, weighted):
+        g = loss_mask(mask)
+        w = boundary_weights(g) if weighted else None
+        s = loss_logits(logits, g.shape)
+        fused = Tensor(s.copy(), requires_grad=True)
+        composed = Tensor(s.copy(), requires_grad=True)
+        a = engine.structure_loss(fused, g, w)
+        b = composed_structure_loss(composed, g, w)
+        backward(a)
+        backward(b)
+        np.testing.assert_allclose(float(a.data), float(b.data), rtol=1e-13)
+        np.testing.assert_allclose(fused.grad, composed.grad, rtol=1e-10,
+                                   atol=1e-13 * np.abs(composed.grad).max())
+
+    @pytest.mark.parametrize("logits", ["random", "saturated"])
+    @pytest.mark.parametrize("mask", LOSS_MASKS)
+    def test_gradient_matches_finite_differences(self, mask, logits):
+        g = loss_mask(mask, (1, 1, 6, 6))
+        w = boundary_weights(g)
+        s = Tensor(loss_logits(logits, g.shape, seed=63), requires_grad=True)
+        check_gradients(lambda s: engine.structure_loss(s, g, w), [s])
+        check_gradients(lambda s: engine.structure_loss(s, g), [s])
+
+    def test_one_node_per_loss(self):
+        g = loss_mask("random")
+        s = rand(g.shape, seed=64, grad=True)
+        for w, composed_nodes in ((boundary_weights(g), 27), (None, 13)):
+            loss = engine.structure_loss(s, g, w)
+            assert graph_nodes(loss) == 1 and loss._node.parents == (s,)
+            assert graph_nodes(composed_structure_loss(s, g, w)) == composed_nodes
+
+    def test_float32_gradient_stays_float32(self):
+        # a float64 numpy scalar times a float32 map would give float64
+        g = loss_mask("random")
+        s = Tensor(loss_logits("random", g.shape).astype(np.float32),
+                   requires_grad=True)
+        for w in (boundary_weights(g), None):
+            loss = engine.structure_loss(s, g, w)
+            assert loss.dtype == np.float32
+            for up in (np.ones((), np.float32), np.ones(())):
+                (ds,) = loss._backward_fn(up)
+                assert ds.dtype == np.float32
+
+    def test_empty_union_gives_nan_loss(self):
+        # an all-0 target where every float32 p underflows to 0: the IoU is
+        # 0/0, a non-finite loss that training reports, not an exception
+        g = np.zeros((1, 1, 4, 4))
+        s = Tensor(np.full(g.shape, -120.0, np.float32), requires_grad=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert np.isnan(engine.structure_loss(s, g, boundary_weights(g)).data)
+
+    def test_shape_mismatch_rejected(self):
+        s = rand((1, 1, 4, 4), seed=65, grad=True)
+        with pytest.raises(ValueError, match="structure_loss: target"):
+            engine.structure_loss(s, np.zeros((1, 1, 4, 5)))
+        with pytest.raises(ValueError, match="structure_loss: weight"):
+            engine.structure_loss(s, np.zeros((1, 1, 4, 4)), np.ones((4, 4)))
+
+
 # ------------------------------------------------------------- backward
 
 
@@ -893,16 +992,24 @@ def test_default_model_step_memory():
     node after each of the 67 ConvBNReLU blocks' batch norm (467 nodes),
     72.0 MiB with the ReLU inside the norm's node (400 nodes), 73.7 MiB
     with each CFM's three branch convs as one conv: its stacked weights
-    (1.7 MiB over the four CFMs) are kept for the input gradient.  The
-    412 nodes are 400, less 2 conv nodes per CFM, plus per CFM the weight
-    and bias concatenations and three channel slices.  The peak from the
-    forward's start to the end of ``backward()`` is 76.1 MiB (75.0 before
-    the fusion); a mutated ``backward`` that gave each slice's gradient its
-    own zero-padded full-size array and summed them peaked at 82.2.  These
+    (1.7 MiB over the four CFMs) are kept for the input gradient (412
+    nodes), and 67.9 MiB with each side output's structure loss and the
+    edge loss as one node that keeps only its sigmoid map.  The 296 nodes
+    are 400, less 2 conv nodes per CFM, plus per CFM the weight and bias
+    concatenations and three channel slices (412), less the 121 nodes that
+    built the loss op by op (27 per structure loss, 13 for the edge loss),
+    plus the 5 ``structure_loss`` nodes that stand for them now.  The peak
+    from the forward's start to
+    the end of ``backward()`` is 75.7 MiB, set in the forward by
+    ``cfms.cfm1.out``'s shifted-window conv, whose padded copy of its
+    192-channel input takes 7.1 MiB; ``backward()`` itself peaks at 71.5.
+    A mutated ``backward`` that gave each slice's gradient its own
+    zero-padded full-size array and summed them peaked at 77.7.  These
     figures depend only on shapes and dtypes, not on timing.  The bounds
-    lie about halfway: 78 MiB kept fails if the block ReLU outputs that no
-    consumer needs are kept again, and a 79 MiB peak fails if the slices'
-    gradients stop going into one buffer."""
+    lie about halfway: 73 MiB kept fails if the loss's maps are kept op by
+    op again (73.7) or the block ReLU outputs that no consumer needs are
+    kept again, and a 77 MiB peak fails if the slices' gradients stop going
+    into one buffer."""
     cfg = ModelConfig()
     model = EFANet(cfg, seed=0, dtype=np.float32)
     rng = np.random.default_rng(0)
@@ -918,9 +1025,9 @@ def test_default_model_step_memory():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert nodes == 412
-    assert kept < 78 * 2 ** 20, f"{kept / 2 ** 20:.1f} MiB kept for backward"
-    assert peak < 79 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB peak through backward"
+    assert nodes == 296
+    assert kept < 73 * 2 ** 20, f"{kept / 2 ** 20:.1f} MiB kept for backward"
+    assert peak < 77 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB peak through backward"
 
 
 # ----------------------------------------------------------------- adam
