@@ -34,10 +34,10 @@ lowering the padded input to (Cin*kh*kw, OH*OW) columns one sample at a
 time, one GEMM per sample, and, for stride-1 kernels larger than 1x1, one
 GEMM per tap over shifted windows of the flattened padded input, which
 copies nothing but the padding.  The backward keeps no columns: it reads
-the saved input again (recompute instead of memory), and a lowered weight
-gradient adds one sample's product at a time, in batch order.  A shifted
-weight gradient takes one GEMM per tap, or, where Cin >= 2*Cout, one GEMM
-per sample over all taps stacked.
+the saved input again (recompute instead of memory), and the weight
+gradient takes the forward's method, one GEMM per sample over either the
+lowered columns or all taps' shifted windows stacked, adding the samples'
+products in batch order.
 """
 
 from __future__ import annotations
@@ -364,7 +364,8 @@ def structure_loss(logits, g, w=None):
     s*g + log1p(exp(-|s|)), and the sums run in float64.
 
     The node keeps p, and g and w by reference; its gradient is
-    ds = w*(p - g)/sum(w) + (-w*g/U + I*w*(1 - g)/U**2) * p*(1 - p)."""
+    ds = w*(p - g)/sum(w) + (-w*g/U + I*w*(1 - g)/U**2) * p*(1 - p), and
+    at U = 0 the IoU term is 1 with no gradient."""
     s, dtype = logits.data, logits.dtype
     for name, a in (("target", g), ("weight", w)):
         if a is not None and np.shape(a) != s.shape:
@@ -383,23 +384,25 @@ def structure_loss(logits, g, w=None):
 
         return _make_node(data, (logits,), bwd)
 
-    # float64 numpy scalars: an empty union (all-0 target, every p 0) gives
-    # a NaN loss, as any other non-finite loss does, not an exception
+    # an empty union (all-0 target, every p 0) has I = 0, so its IoU term is
+    # 1, the value 1 - I/U takes for every U > 0, and has no gradient
     w = np.asarray(w, dtype=dtype)
     wsum = w.sum(dtype=np.float64)
     inter = np.sum(w * p * g, dtype=np.float64)
     union = (np.sum(w * p, dtype=np.float64) + np.sum(w * g, dtype=np.float64)
              - inter)
+    empty = union == 0
     data = np.asarray(np.sum(w * bce, dtype=np.float64) / wsum
-                      + (1.0 - inter / union), dtype=dtype)
+                      + (1.0 if empty else 1.0 - inter / union), dtype=dtype)
     del bce
 
     def bwd(up):
         # w * (a*(p - g) + (c - (b + c)*g) * p*(1 - p)), with a = up/sum(w),
         # b = up/U and c = up*I/U**2, as python floats: float64 numpy
         # scalars would promote float32 maps
-        a, b, c = (float(v) for v in (up / wsum, up / union,
-                                      up * inter / union ** 2))
+        a = float(up / wsum)
+        b, c = ((0.0, 0.0) if empty
+                else (float(up / union), float(up * inter / union ** 2)))
         ds = p * (1 - p)
         ds *= c - (b + c) * g
         ds += (p - g) * a
@@ -532,28 +535,14 @@ def _shift_conv(a, wt, ph, pw, dilation):
         out.reshape(n, cout, oh, wp)[:, :, :, :wp - dilation * (kw - 1)])
 
 
-def _shift_weight_grad(a, g, kh, kw, padding, dilation):
-    """Weight gradient of a stride-1 conv of `a` by shifted windows: per tap,
-    g zero-padded to width Wp times the window transposed, summed over the
-    batch; the zero columns cancel the windows' junk."""
-    n, cout, oh, ow = g.shape
-    wp = a.shape[3] + 2 * padding
-    gp = np.zeros((n, cout, oh, wp), dtype=g.dtype)
-    gp[:, :, :, :ow] = g
-    gp = gp.reshape(n, cout, oh * wp)
-    gw = np.empty((cout, a.shape[1], kh, kw), dtype=g.dtype)
-    for i, j, win in _windows(a, padding, padding, kh, kw, dilation):
-        gw[:, :, i, j] = np.matmul(gp, win.transpose(0, 2, 1)).sum(axis=0)
-    return gw
-
-
 def _stacked_weight_grad(a, g, kh, kw, padding, dilation):
-    """The weight gradient of ``_shift_weight_grad`` as one GEMM per sample:
-    g is written at each tap's window offset into its own Cout rows of a
-    zeroed (kh*kw*Cout, L) buffer, whose product with the sample's
-    ``_flatten``ed input (L entries per channel) transposed gives every
-    tap's (Cout, Cin) block; samples are added in batch order from zero,
-    and only one sample's input is flattened at a time."""
+    """Weight gradient of a stride-1 conv of `a` by shifted windows, as one
+    GEMM per sample: g is written at each tap's window offset into its own
+    Cout rows of a zeroed (kh*kw*Cout, L) buffer, whose product with the
+    sample's ``_flatten``ed input (L entries per channel) transposed gives
+    every tap's (Cout, Cin) block; the zeros cancel the windows' junk
+    columns.  Samples are added in batch order from zero, and only one
+    sample's input is flattened at a time."""
     n, cout, oh, ow = g.shape
     cin, wp = a.shape[1], a.shape[3] + 2 * padding
     size = (a.shape[2] + 2 * padding) * wp + dilation * (kw - 1)
@@ -617,14 +606,14 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
     (Cin*kh*kw, OH*OW) and multiplies the (Cout, Cin*kh*kw) weight by them
     into that sample's slice of the NCHW output; shifted windows
     (``_windows``) copy nothing but the padding.  No cols are kept for
-    backward: the weight gradient reads the input again the way the forward
-    did, with the taps stacked into one GEMM per sample for a shifted
-    weight gradient of Cin >= 2*Cout.  The input gradient is one
-    ``_correlate`` call, under the same rule, with the flipped kernel whose
-    Cin/Cout axes are swapped: of the upstream gradient padded by d*(k-1) -
-    padding for a stride-1 conv with padding <= d*(k-1), and otherwise of
-    the gradient spread `stride` apart over the padded input, cropped
-    after.  An input that takes no gradient gets None.
+    backward: the weight gradient reads the input again by the forward's
+    method, one GEMM per sample over the lowered cols or over all taps'
+    shifted windows stacked (``_stacked_weight_grad``).  The input gradient
+    is one ``_correlate`` call, under the same rule, with the flipped kernel
+    whose Cin/Cout axes are swapped: of the upstream gradient padded by
+    d*(k-1) - padding for a stride-1 conv with padding <= d*(k-1), and
+    otherwise of the gradient spread `stride` apart over the padded input,
+    cropped after.  An input that takes no gradient gets None.
     """
     if x.data.ndim != 4:
         raise ValueError(f"conv2d: input must be 4-D (N,C,H,W), got shape {x.shape}")
@@ -659,12 +648,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
 
     def bwd(g):
         if shifted:
-            # one GEMM per sample over the stacked taps only where the input
-            # is the much wider side: it measured 0.52-0.74x of the per-tap
-            # GEMMs' time for Cin >= 2*Cout and 1.2-2.3x on narrower inputs
-            weight_grad = (_stacked_weight_grad if cin >= 2 * cout
-                           else _shift_weight_grad)
-            gw = weight_grad(xd, g, kh, kw, padding, dilation)
+            gw = _stacked_weight_grad(xd, g, kh, kw, padding, dilation)
         else:
             # summed in batch order from zero, as numpy's axis-0 sum does
             xp, g3 = _pad(xd, padding, padding), g.reshape(n, cout, oh * ow)

@@ -1,18 +1,22 @@
-"""Every package name the benchmark's tracer wraps exists.
+"""Every package name the benchmark's tracer wraps exists, and is called.
 
 ``bench/tracing.py`` replaces each engine op in ``ENGINE_OPS`` and each
 ``(module, function)`` in ``CALLS`` by ``getattr``, so deleting or renaming
-one breaks the benchmark.  These tests load the tracer as it is and fail
-first.
+one breaks the benchmark.  ``per_layer`` in ``bench/run.py`` raises on a
+metric that no span measures, so a call that training or evaluation stops
+making breaks it too.  These tests load the tracer as it is and fail first.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from efanet import engine
+from efanet import cli, dataio, engine, pipeline
+from efanet.checkpoint import load_checkpoint
+from test_cli import tiny_run_config
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -53,3 +57,40 @@ def test_full_tracer_installs_and_restores():
     finally:
         tracer.uninstall()
     assert {name: getattr(engine, name) for name in before} == before
+
+
+def test_traced_toy_run_leaves_a_span_per_call(tmp_path):
+    """A toy train() and evaluate() under the full tracer leave a span for
+    every name in CALLS but ``checkpoint.load_checkpoint``, which the bench
+    calls itself after training."""
+    from efanet import train as T
+    assert cli.main(["synth", "--n", "6", "--size", "32", "--seed", "3",
+                     "--out", str(tmp_path / "data")]) == 0
+    manifest = str(tmp_path / "data" / "manifest.tsv")
+    cfg = tiny_run_config(tmp_path, manifest=manifest)
+    tracer = tracing.Tracer(full=True)
+    try:
+        tracer.install()
+        tracer.set_phase("work")
+        final, _, _ = T.train(cfg)
+        T.evaluate(load_checkpoint(final)[0], cfg, manifest)
+    finally:
+        tracer.uninstall()
+    names = {span[tracing.NAME] for span in tracer.spans}
+    wanted = {f"{m}.{f}" for m, f in tracing.CALLS} - {"checkpoint.load_checkpoint"}
+    missing = wanted - names
+    assert not missing, f"no span for {sorted(missing)}"
+
+
+def test_samples_carry_what_the_bench_reads(tmp_path):
+    """The gradient check reads a generated sample's image, mask and edge,
+    and the eval workloads a loaded record's image and mask."""
+    sample = pipeline.synth_sample(np.random.default_rng(0), 64, "grad")
+    assert sample.image.ndim == 3 and sample.image.shape[1:] == (64, 64)
+    assert sample.mask.shape == sample.edge.shape == (1, 64, 64)
+    assert cli.main(["synth", "--n", "2", "--size", "32", "--seed", "3",
+                     "--out", str(tmp_path / "data")]) == 0
+    record = dataio.read_manifest(tmp_path / "data" / "manifest.tsv")[0]
+    loaded = pipeline.load_sample(record, 1)
+    assert loaded.image.ndim == 3 and loaded.image.shape[1:] == (32, 32)
+    assert loaded.mask.shape == (1, 32, 32)

@@ -187,12 +187,12 @@ class TestConv2d:
     # padding, dilation, and the methods of the forward, the input gradient
     # and the weight gradient; stride 2 and padding > dilation*(k-1)
     # correlate the spread gradient, and a shifted forward's weight gradient
-    # stacks the taps into one GEMM per sample where Cin >= 2*Cout
+    # stacks the taps into one GEMM per sample
     PLAN_CASES = [
         ((6, 2), (12, 11), 3, 1, 1, 1, ("shift", "lower", "stacked")),
         ((2, 6), (12, 11), 3, 1, 1, 1, ("lower", "shift", "lower")),
-        ((3, 3), (12, 11), 3, 1, 1, 1, ("shift", "shift", "taps")),
-        ((3, 3), (12, 11), 3, 1, 3, 1, ("shift", "shift", "taps")),
+        ((3, 3), (12, 11), 3, 1, 1, 1, ("shift", "shift", "stacked")),
+        ((3, 3), (12, 11), 3, 1, 3, 1, ("shift", "shift", "stacked")),
         ((3, 3), (12, 11), 3, 2, 1, 1, ("lower", "shift", "lower")),
         ((3, 3), (12, 11), 1, 1, 0, 1, ("lower", "lower", "lower")),
         # dilation 8 on a narrow map: 16 junk columns against 10 outputs
@@ -202,25 +202,25 @@ class TestConv2d:
         # the spread gradient of a stride-2 conv 6 -> 2 lowers (Cout > Cin
         # in its call)
         ((6, 2), (12, 11), 3, 2, 1, 1, ("lower", "lower", "lower")),
-        # each side of Cin >= 2*Cout, dilated and padded past d*(k-1)
+        # Cin = 2*Cout and a narrower Cin, dilated and padded past d*(k-1)
         ((4, 2), (12, 21), 3, 1, 2, 2, ("shift", "lower", "stacked")),
-        ((5, 3), (12, 21), 3, 1, 2, 2, ("shift", "lower", "taps")),
+        ((5, 3), (12, 21), 3, 1, 2, 2, ("shift", "lower", "stacked")),
         ((4, 2), (12, 11), 3, 1, 3, 1, ("shift", "lower", "stacked")),
-        ((5, 3), (12, 11), 3, 1, 3, 1, ("shift", "lower", "taps")),
+        ((5, 3), (12, 11), 3, 1, 3, 1, ("shift", "lower", "stacked")),
     ]
 
     @staticmethod
-    def spy_weight_grads(monkeypatch):
-        """The list that gets "stacked" or "taps" per shifted weight
-        gradient."""
-        methods = []
-        for name, method in (("_stacked_weight_grad", "stacked"),
-                             ("_shift_weight_grad", "taps")):
-            def spy(*args, fn=getattr(engine, name), method=method):
-                methods.append(method)
-                return fn(*args)
-            monkeypatch.setattr(engine, name, spy)
-        return methods
+    def spy_stacked(monkeypatch):
+        """The list that gets the input's shape per shifted weight gradient,
+        each of which stacks its taps."""
+        calls, stacked = [], engine._stacked_weight_grad
+
+        def spy(*args):
+            calls.append(args[0].shape)
+            return stacked(*args)
+
+        monkeypatch.setattr(engine, "_stacked_weight_grad", spy)
+        return calls
 
     @pytest.mark.parametrize("case", PLAN_CASES)
     def test_plan_branches(self, monkeypatch, case):
@@ -236,40 +236,29 @@ class TestConv2d:
         wp = (ow + 2 * q if stride == 1 and q >= 0
               else w + 2 * padding + dilation * (k - 1))
         gx = method[engine._shifts(cout, cin, k, k, 1, dilation, wp)]
-        weight_grads = self.spy_weight_grads(monkeypatch)
+        stacked = self.spy_stacked(monkeypatch)
         for bias in (True, False):
             check_conv_gradients((cin, cout), k, stride, padding, dilation,
                                  bias, hw=(h, w))
         check_conv_tap_loop((h, w), (cin, cout), k, stride, padding, dilation)
-        gw = set(weight_grads) or {"lower"}
-        assert len(gw) == 1 and (fwd, gx) + tuple(gw) == plan
+        assert (fwd, gx, "stacked" if stacked else "lower") == plan
 
-    @staticmethod
-    def force_stacked(monkeypatch):
-        """Stack the taps of every shifted weight gradient, whatever
-        Cin/Cout; returns the list that gets one entry per such call."""
-        calls, stacked = [], engine._stacked_weight_grad
-
-        def spy(*args):
-            calls.append(args[0].shape)
-            return stacked(*args)
-
-        monkeypatch.setattr(engine, "_shift_weight_grad", spy)
-        return calls
-
-    # every geometry of test_gradients with the taps stacked; 3 -> 3 takes
-    # shifted windows forward wherever the junk rule allows
+    # every geometry of test_gradients at Cin = Cout; 3 -> 3 takes shifted
+    # windows forward, so stacks its weight gradient's taps, wherever the
+    # junk rule allows
     @pytest.mark.parametrize("bias", [True, False])
     @conv_grid
     def test_stacked_weight_grad_gradients(self, monkeypatch, stride, padding,
                                            dilation, bias):
-        self.force_stacked(monkeypatch)
+        calls = self.spy_stacked(monkeypatch)
         check_conv_gradients((3, 3), 3, stride, padding, dilation, bias)
+        shifted = engine._shifts(3, 3, 3, 3, stride, dilation, 11 + 2 * padding)
+        assert bool(calls) == shifted
 
     @conv_grid
     def test_stacked_weight_grad_matches_tap_loop_reference(
             self, monkeypatch, stride, padding, dilation):
-        calls = self.force_stacked(monkeypatch)
+        calls = self.spy_stacked(monkeypatch)
         check_conv_tap_loop((21, 19), (3, 3), 3, stride, padding, dilation,
                             n=3)
         shifted = engine._shifts(3, 3, 3, 3, stride, dilation, 19 + 2 * padding)
@@ -302,7 +291,7 @@ class TestConv2d:
         shifted weight gradients that stack their taps."""
         calls = []
         correlate = engine._correlate
-        weight_grads = self.spy_weight_grads(monkeypatch)
+        stacked = self.spy_stacked(monkeypatch)
 
         def spy(a, wt, ph, pw, stride, dilation):
             shifts = engine._shifts(a.shape[1], wt.shape[0], *wt.shape[2:],
@@ -335,9 +324,9 @@ class TestConv2d:
         assert methods == {("lower", "lower"): 64, ("lower", "shift"): 6,
                            ("lower", "none"): 1, ("shift", "lower"): 8,
                            ("shift", "shift"): 22}
-        # stacked: CFM out 192 -> 32 and SCM fuse_cat 96 -> 32 on the 32, 16
-        # and 8 px maps, and EGM fuse_edge 64 -> 32
-        assert Counter(weight_grads) == {"stacked": 7, "taps": 23}
+        # every conv whose forward took shifted windows stacks its weight
+        # gradient's taps: 8 + 22 above
+        assert len(stacked) == 30
 
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (1, 3)])
     def test_input_without_gradient(self, monkeypatch, stride, padding):
@@ -789,13 +778,27 @@ class TestStructureLoss:
                 (ds,) = loss._backward_fn(up)
                 assert ds.dtype == np.float32
 
-    def test_empty_union_gives_nan_loss(self):
-        # an all-0 target where every float32 p underflows to 0: the IoU is
-        # 0/0, a non-finite loss that training reports, not an exception
-        g = np.zeros((1, 1, 4, 4))
-        s = Tensor(np.full(g.shape, -120.0, np.float32), requires_grad=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            assert np.isnan(engine.structure_loss(s, g, boundary_weights(g)).data)
+    @pytest.mark.parametrize("dtype,logit", [(np.float32, -120.0),
+                                             (np.float64, -800.0)])
+    def test_empty_union_iou_term_is_one(self, dtype, logit):
+        # an all-0 target where every p underflows to 0: U = 0 and I = 0, so
+        # the IoU term is 1, as 1 - I/U is for every U > 0, with no gradient;
+        # the all-0 target's weights are all 1, so the weighted BCE half is
+        # the plain mean BCE
+        g = np.zeros((2, 1, 4, 4))
+        w = boundary_weights(g)
+        assert np.array_equal(w, np.ones(g.shape))
+        s = Tensor(np.full(g.shape, logit, dtype), requires_grad=True)
+        bce_s = Tensor(s.data.copy(), requires_grad=True)
+        with np.errstate(divide="raise", invalid="raise"):
+            loss = engine.structure_loss(s, g, w)
+            bce = engine.structure_loss(bce_s, g)
+            backward(loss)
+            backward(bce)
+        assert loss.dtype == dtype and np.isfinite(loss.data)
+        assert float(loss.data) == float(bce.data) + 1.0
+        assert s.grad.dtype == dtype
+        np.testing.assert_array_equal(s.grad, bce_s.grad)
 
     def test_shape_mismatch_rejected(self):
         s = rand((1, 1, 4, 4), seed=65, grad=True)
