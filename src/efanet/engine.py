@@ -12,11 +12,22 @@ closure keeps only what its formula reads:
     channel_slice, bilinear_resize,
     global_avg_pool, sum_all, mean_all      shapes and dtype
     relu, sigmoid, exp                      their output
-    log, mul, div, conv2d                   their inputs' arrays
+    log, conv2d                             their inputs, by rebuild
+    mul, div                                by rebuild, the inputs that a
+                                            gradient they give reads
     batch_norm, and with relu=True its      its input's array, from which
     ReLU in the same node                   backward rebuilds the ReLU mask
     structure_loss                          its sigmoid output, and its
                                             target and weight arrays
+
+An input is kept by its rebuild where it has one, else by its array.  A
+rebuild returns a tensor's array again, bit for bit, from arrays the graph
+keeps anyway: batch norm's runs the norm's ops again on the input it keeps;
+relu's, sigmoid's and exp's is their kept output; a concatenation's, where
+a part has one, joins its parts' rebuilds and the other parts' arrays; and
+add's, sub's, mul's, div's and a resize's, where each input has one or is
+a leaf, runs the op again.  A rebuild comes only with a graph node, so a
+forward under ``no_grad`` builds none.
 
 ``backward`` replays the graph in reverse topological order into the
 requires_grad leaves, freeing each node's parents and closure as it goes; a
@@ -34,10 +45,13 @@ lowering the padded input to (Cin*kh*kw, OH*OW) columns one sample at a
 time, one GEMM per sample, and, for stride-1 kernels larger than 1x1, one
 GEMM per tap over shifted windows of the flattened padded input, which
 copies nothing but the padding.  The backward keeps no columns: it reads
-the saved input again (recompute instead of memory), and the weight
+the kept input again (recompute instead of memory), and the weight
 gradient takes the forward's method, one GEMM per sample over either the
 lowered columns or all taps' shifted windows stacked, adding the samples'
-products in batch order.
+products in batch order.  A stride-1 conv runs on its live taps alone:
+``_dead_taps`` cuts the taps that read only zero padding at every output,
+as a dilated 3x3 kernel's outer taps do on a map no wider than its rate.
+Their weight gradient is zero, and FLOPs are booked for the whole kernel.
 """
 
 from __future__ import annotations
@@ -152,9 +166,14 @@ class _Node:
 
 
 class Tensor:
-    """A numpy array plus optional gradient and a link to its graph node."""
+    """A numpy array plus optional gradient and a link to its graph node.
 
-    __slots__ = ("data", "grad", "requires_grad", "_node")
+    A tensor an op computed with gradient may carry a rebuild: a function of
+    no arguments that returns its array again, bit for bit, from arrays the
+    graph keeps anyway, so that an op keeping it for backward can keep the
+    rebuild instead of the array."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_node", "_rebuild")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -164,6 +183,7 @@ class Tensor:
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._node = None
+        self._rebuild = None
 
     @property
     def _backward_fn(self):
@@ -238,13 +258,32 @@ def _as_tensor(x, dtype=None):
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _make_node(data, parents, backward_fn):
+def _make_node(data, parents, backward_fn, rebuild=None):
     out = Tensor(data)
     if _state.grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._node = _Node(tuple(p._node or (p if p.requires_grad else None)
                                 for p in parents), backward_fn, out.dtype)
+        out._rebuild = rebuild
     return out
+
+
+def _kept(t):
+    """What an op keeps to read `t`'s array in backward: its rebuild, or a
+    function returning its array."""
+    if t._rebuild is not None:
+        return t._rebuild
+    data = t.data
+    return lambda: data
+
+
+def _rebuilds(ts):
+    """``_kept`` of each of `ts` if each has a rebuild or is a leaf, so that
+    an op's output can be rebuilt from them; otherwise None."""
+    if _state.grad_enabled and all(t._rebuild is not None or t._node is None
+                                   for t in ts):
+        return [_kept(t) for t in ts]
+    return None
 
 
 def _unbroadcast(grad, shape):
@@ -260,9 +299,11 @@ def _unbroadcast(grad, shape):
 # -- elementwise ops ---------------------------------------------------------
 
 
-def _binary(name, fn, grads, keeps_inputs):
-    """An elementwise op of two broadcastable tensors; `grads(g, x, y)` gives
-    both gradients at the broadcast shape (x, y None unless `keeps_inputs`)."""
+def _binary(name, fn, grad_x, grad_y, reads_x="", reads_y=""):
+    """An elementwise op of two broadcastable tensors; `grad_x(g, x, y)` and
+    `grad_y(g, x, y)` give each side's gradient at the broadcast shape, and
+    `reads_x`/`reads_y` name the inputs ("x", "y") each reads.  An input is
+    kept only if the gradient of a side that takes one reads it."""
 
     def op(x, y):
         x, y = _as_tensor(x), _as_tensor(y)
@@ -272,34 +313,46 @@ def _binary(name, fn, grads, keeps_inputs):
             raise ValueError(f"{name}: shapes {x.shape} and {y.shape} not broadcastable")
         _record_flops("elementwise", data.size)
         xs, ys = x.shape, y.shape
-        xd, yd = (x.data, y.data) if keeps_inputs else (None, None)
+        wants_x, wants_y = x.requires_grad, y.requires_grad
+        reads = (reads_x if wants_x else "") + (reads_y if wants_y else "")
+        xk = _kept(x) if "x" in reads else None
+        yk = _kept(y) if "y" in reads else None
 
         def bwd(g):
-            gx, gy = grads(g, xd, yd)
-            return _unbroadcast(gx, xs), _unbroadcast(gy, ys)
+            xd = None if xk is None else xk()
+            yd = None if yk is None else yk()
+            return (_unbroadcast(grad_x(g, xd, yd), xs) if wants_x else None,
+                    _unbroadcast(grad_y(g, xd, yd), ys) if wants_y else None)
 
-        return _make_node(data, (x, y), bwd)
+        ks = _rebuilds((x, y))
+        return _make_node(data, (x, y), bwd,
+                          ks and (lambda: fn(ks[0](), ks[1]())))
 
     op.__name__ = op.__qualname__ = name
     return op
 
 
-add = _binary("add", operator.add, lambda g, x, y: (g, g), False)
-sub = _binary("sub", operator.sub, lambda g, x, y: (g, -g), False)
-mul = _binary("mul", operator.mul, lambda g, x, y: (g * y, g * x), True)
-div = _binary("div", operator.truediv,
-              lambda g, x, y: (g / y, -g * x / (y * y)), True)
+add = _binary("add", operator.add, lambda g, x, y: g, lambda g, x, y: g)
+sub = _binary("sub", operator.sub, lambda g, x, y: g, lambda g, x, y: -g)
+mul = _binary("mul", operator.mul, lambda g, x, y: g * y,
+              lambda g, x, y: g * x, "y", "x")
+div = _binary("div", operator.truediv, lambda g, x, y: g / y,
+              lambda g, x, y: -g * x / (y * y), "y", "xy")
 
 
 def _unary(name, fn, grad, keeps_output):
     """An elementwise op of one tensor; `grad(g, a)` gives its gradient from
-    its output `a` if `keeps_output`, from its input `a` otherwise."""
+    its output `a` if `keeps_output`, which is then also its rebuild, and
+    from its input `a` otherwise."""
 
     def op(x):
         data = fn(x.data)
         _record_flops("elementwise", data.size)
-        kept = data if keeps_output else x.data
-        return _make_node(data, (x,), lambda g: (grad(g, kept),))
+        if keeps_output:
+            kept = rebuild = lambda: data
+        else:
+            kept, rebuild = _kept(x), None
+        return _make_node(data, (x,), lambda g: (grad(g, kept()),), rebuild)
 
     op.__name__ = op.__qualname__ = name
     return op
@@ -424,7 +477,13 @@ def concat(xs, axis):
         return tuple(np.ascontiguousarray(part)
                      for part in np.split(g, splits, axis=axis))
 
-    return _make_node(data, tuple(xs), bwd)
+    # rebuilt if a part is: a part without a rebuild keeps its array, so the
+    # rebuild keeps no more than the concatenation would
+    parts = None
+    if _state.grad_enabled and any(t._rebuild is not None for t in xs):
+        parts = [_kept(t) for t in xs]
+    return _make_node(data, tuple(xs), bwd, parts and (
+        lambda: np.concatenate([part() for part in parts], axis=axis)))
 
 
 def concat_channels(xs):
@@ -535,7 +594,7 @@ def _shift_conv(a, wt, ph, pw, dilation):
         out.reshape(n, cout, oh, wp)[:, :, :, :wp - dilation * (kw - 1)])
 
 
-def _stacked_weight_grad(a, g, kh, kw, padding, dilation):
+def _stacked_weight_grad(a, g, kh, kw, ph, pw, dilation):
     """Weight gradient of a stride-1 conv of `a` by shifted windows, as one
     GEMM per sample: g is written at each tap's window offset into its own
     Cout rows of a zeroed (kh*kw*Cout, L) buffer, whose product with the
@@ -544,8 +603,8 @@ def _stacked_weight_grad(a, g, kh, kw, padding, dilation):
     columns.  Samples are added in batch order from zero, and only one
     sample's input is flattened at a time."""
     n, cout, oh, ow = g.shape
-    cin, wp = a.shape[1], a.shape[3] + 2 * padding
-    size = (a.shape[2] + 2 * padding) * wp + dilation * (kw - 1)
+    cin, wp = a.shape[1], a.shape[3] + 2 * pw
+    size = (a.shape[2] + 2 * ph) * wp + dilation * (kw - 1)
     rows = np.zeros((kh * kw, cout, size), dtype=g.dtype)
     taps = []
     for i in range(kh):
@@ -558,8 +617,22 @@ def _stacked_weight_grad(a, g, kh, kw, padding, dilation):
     for b in range(n):
         for tap in taps:
             tap[...] = g[b]
-        gw += rows @ _flatten(a[b:b + 1], padding, padding, kw, dilation)[0].T
+        gw += rows @ _flatten(a[b:b + 1], ph, pw, kw, dilation)[0].T
     return np.ascontiguousarray(gw.reshape(kh, kw, cout, cin).transpose(2, 3, 0, 1))
+
+
+def _dead_taps(n, k, padding, dilation):
+    """How many taps at each end of a stride-1 kernel axis read only zero
+    padding at every output of an n-entry input axis.  Tap i reads inputs
+    from i*d - p on, so tap k-1-t reads none while (k-1-t)*d - p >= n, and
+    then, the padding being the same at both ends, neither does tap t.
+    Taps are cut in such pairs, and only while padding p - (t+1)*d is left,
+    so the kernel keeps its live taps and the same outputs."""
+    t = 0
+    while (2 * t + 1 < k and (k - 1 - t) * dilation - padding >= n
+           and padding >= (t + 1) * dilation):
+        t += 1
+    return t
 
 
 def _shifts(cin, cout, kh, kw, stride, dilation, wp):
@@ -605,10 +678,13 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
     copies each tap's slice of one sample's padded input into cols
     (Cin*kh*kw, OH*OW) and multiplies the (Cout, Cin*kh*kw) weight by them
     into that sample's slice of the NCHW output; shifted windows
-    (``_windows``) copy nothing but the padding.  No cols are kept for
-    backward: the weight gradient reads the input again by the forward's
-    method, one GEMM per sample over the lowered cols or over all taps'
-    shifted windows stacked (``_stacked_weight_grad``).  The input gradient
+    (``_windows``) copy nothing but the padding.  Taps that read only
+    padding at every output are left out (``_dead_taps``), with the padding
+    the live taps need.  No cols are kept for backward, and the input is
+    kept by its rebuild where it has one: the weight gradient reads the
+    input again by the forward's method, one GEMM per sample over the
+    lowered cols or over all taps' shifted windows stacked
+    (``_stacked_weight_grad``).  The input gradient
     is one ``_correlate`` call, under the same rule, with the flipped kernel
     whose Cin/Cout axes are swapped: of the upstream gradient padded by
     d*(k-1) - padding for a stride-1 conv with padding <= d*(k-1), and
@@ -636,27 +712,41 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
             f"conv2d: effective kernel ({eff_h}x{eff_w}) exceeds padded input "
             f"({h + 2 * padding}x{w + 2 * padding})")
 
-    out = _correlate(x.data, weight.data, padding, padding, stride, dilation)
+    # a stride-1 conv runs on its live taps alone, with the padding they
+    # need; the dead taps' weight gradient is zero, and FLOPs are booked for
+    # the whole kernel
+    flops = 2 * n * cout * cin * kh * kw
+    th = _dead_taps(h, kh, padding, dilation) if stride == 1 else 0
+    tw = _dead_taps(w, kw, padding, dilation) if stride == 1 else 0
+    live = np.s_[:, :, th:kh - th, tw:kw - tw]
+    kh, kw = kh - 2 * th, kw - 2 * tw
+    ph, pw = padding - th * dilation, padding - tw * dilation
+
+    out = _correlate(x.data, weight.data[live], ph, pw, stride, dilation)
     oh, ow = out.shape[2:]
     if bias is not None:
         out += bias.data[None, :, None, None]
-    _record_flops("conv", 2 * n * cout * cin * kh * kw * oh * ow)
+    _record_flops("conv", flops * oh * ow)
 
-    shifted = _shifts(cin, cout, kh, kw, stride, dilation, w + 2 * padding)
-    qh, qw = dilation * (kh - 1) - padding, dilation * (kw - 1) - padding
-    xd, wd, biased, wants_gx = x.data, weight.data, bias is not None, x.requires_grad
+    shifted = _shifts(cin, cout, kh, kw, stride, dilation, w + 2 * pw)
+    qh, qw = dilation * (kh - 1) - ph, dilation * (kw - 1) - pw
+    xk, wk = _kept(x), _kept(weight)
+    biased, wants_gx = bias is not None, x.requires_grad
 
     def bwd(g):
         if shifted:
-            gw = _stacked_weight_grad(xd, g, kh, kw, padding, dilation)
+            gw = _stacked_weight_grad(xk(), g, kh, kw, ph, pw, dilation)
         else:
             # summed in batch order from zero, as numpy's axis-0 sum does
-            xp, g3 = _pad(xd, padding, padding), g.reshape(n, cout, oh * ow)
+            xp, g3 = _pad(xk(), ph, pw), g.reshape(n, cout, oh * ow)
             gw = np.zeros((cout, cin * kh * kw), dtype=g.dtype)
             for b in range(n):
                 gw += g3[b] @ _lower(xp[b], kh, kw, stride, dilation).T
-            gw = gw.reshape(wd.shape)
-        wt = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            del xp
+            gw = gw.reshape(cout, cin, kh, kw)
+        if th or tw:
+            gw = np.pad(gw, ((0, 0), (0, 0), (th, th), (tw, tw)))
+        wt = wk()[live][:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         if not wants_gx:
             gx = None
         elif stride == 1 and min(qh, qw) >= 0:
@@ -665,11 +755,11 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
             # g spread `stride` apart over the padded input, behind d*(k-1)
             # leading zeros, then cropped back to the input
             eh, ew = dilation * (kh - 1), dilation * (kw - 1)
-            gu = np.zeros((n, cout, h + 2 * padding + eh, w + 2 * padding + ew),
+            gu = np.zeros((n, cout, h + 2 * ph + eh, w + 2 * pw + ew),
                           dtype=g.dtype)
             gu[:, :, eh::stride, ew::stride][:, :, :oh, :ow] = g
             gx = np.ascontiguousarray(_correlate(gu, wt, 0, 0, 1, dilation)[
-                :, :, padding:padding + h, padding:padding + w])
+                :, :, ph:ph + h, pw:pw + w])
         return (gx, gw, g.sum(axis=(0, 2, 3))) if biased else (gx, gw)
 
     return _make_node(out, (x, weight, bias) if biased else (x, weight), bwd)
@@ -700,7 +790,9 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
     and the mean and variance of the centered values give the statistics,
     so a float32 channel of large mean and small spread keeps its
     precision.  Backward keeps x, not the normalized map: it rebuilds the
-    ReLU's mask from x by the forward's own ops.
+    ReLU's mask from x by the forward's own ops, and the output's rebuild
+    runs those ops again on x minus the center, so an op that reads the
+    output in backward need not keep it.
     """
     if x.data.ndim != 4:
         raise ValueError(f"batch_norm: input must be 4-D, got shape {x.shape}")
@@ -733,10 +825,15 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
     scale = gamma.data * inv_std
     scale_x = scale.astype(x.dtype)[:, None]
     shift_x = (beta.data - resid * scale).astype(x.dtype)[:, None]
-    out *= scale_x
-    out += shift_x
-    if relu:
-        np.maximum(out, 0, out=out)
+
+    def finish(d):
+        # the output from the centered values d, in place: the forward's
+        # ops, which the rebuild runs again on x minus the center
+        d *= scale_x
+        d += shift_x
+        if relu:
+            np.maximum(d, 0, out=d)
+        return d.reshape(shape)
 
     def bwd(g):
         g3 = g.reshape(n, c, -1)
@@ -760,7 +857,8 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
             gx += (coef * resid - scale * gbeta / m).astype(xs.dtype)[:, None]
         return gx.reshape(shape), ggamma, gbeta
 
-    return _make_node(out.reshape(shape), (x, gamma, beta), bwd)
+    return _make_node(finish(out), (x, gamma, beta), bwd,
+                      lambda: finish(np.subtract(xs, center[:, None])))
 
 
 def _resize_matrix(n_in, n_out, align_corners, dtype):
@@ -800,9 +898,10 @@ def bilinear_resize(x, out_h, out_w):
     if x.data.ndim != 4:
         raise ValueError(f"bilinear_resize expects a 4-D tensor, got shape {x.shape}")
     h, w, dtype = x.shape[2], x.shape[3], x.dtype
+    ks = _rebuilds((x,))
     if (out_h, out_w) == (h, w):
-        return _make_node(x.data, (x,), lambda g: (g,))
-    out = resize_bilinear_np(x.data, out_h, out_w)
+        return _make_node(x.data, (x,), lambda g: (g,), ks and ks[0])
+    out = np.ascontiguousarray(resize_bilinear_np(x.data, out_h, out_w))
     _record_flops("resize", out.size)
 
     def bwd(g):
@@ -811,7 +910,8 @@ def bilinear_resize(x, out_h, out_w):
         t = np.swapaxes(np.swapaxes(g, -1, -2) @ mh, -1, -2)
         return (np.ascontiguousarray(t @ mw),)
 
-    return _make_node(np.ascontiguousarray(out), (x,), bwd)
+    return _make_node(out, (x,), bwd, ks and (lambda: np.ascontiguousarray(
+        resize_bilinear_np(ks[0](), out_h, out_w))))
 
 
 # -- backward pass -----------------------------------------------------------

@@ -1,4 +1,6 @@
+import contextlib
 import itertools
+import operator
 import tracemalloc
 import weakref
 from collections import Counter
@@ -355,6 +357,45 @@ class TestConv2d:
         np.testing.assert_array_equal(gw0, gw)
         np.testing.assert_array_equal(gb0, gb)
 
+    # (H, W), k, padding, dilation, and the live kernel `_correlate` gets:
+    # every tap but the centre, the middle row, two taps cut from each end
+    # of a 5-tap axis, and a centre that still needs padding
+    DEAD_TAP_CASES = [
+        ((4, 4), 3, 4, 4, (1, 1)),
+        ((4, 12), 3, 4, 4, (1, 3)),
+        ((3, 3), 5, 4, 2, (3, 3)),
+        ((4, 4), 3, 10, 8, (1, 1)),
+    ]
+
+    @pytest.mark.parametrize("case", DEAD_TAP_CASES)
+    def test_dead_taps(self, monkeypatch, case):
+        """A stride-1 conv runs on the taps that read more than padding: its
+        float64 gradients pass the finite-difference check, its output and
+        gradients match the full kernel's to 1e-12, and the dead taps'
+        weight gradient is exactly zero."""
+        (h, w), k, padding, dilation, live = case
+        kernels = []
+        correlate = engine._correlate
+
+        def spy(a, wt, *args):
+            kernels.append(wt.shape[2:])
+            return correlate(a, wt, *args)
+
+        monkeypatch.setattr(engine, "_correlate", spy)
+        for bias in (True, False):
+            check_conv_gradients((3, 2), k, 1, padding, dilation, bias,
+                                 hw=(h, w))
+        check_conv_tap_loop((h, w), (3, 2), k, 1, padding, dilation)
+        assert set(kernels) == {live}
+        x, wt, b, r = conv_case((2, h, w), (3, 2), k, 1, padding, dilation, 5)
+        backward((conv2d(x, wt, b, padding=padding, dilation=dilation)
+                  * r).sum())
+        th, tw = (k - live[0]) // 2, (k - live[1]) // 2
+        dead = np.ones((k, k), bool)
+        dead[th:k - th, tw:k - tw] = False
+        assert (wt.grad[:, :, dead] == 0).all()
+        assert (wt.grad[:, :, ~dead] != 0).all()
+
     def test_dilated_gradients(self):
         x = rand((1, 2, 9, 9), seed=6, grad=True)
         w = rand((2, 2, 3, 3), seed=7, grad=True)
@@ -674,6 +715,23 @@ class TestElementwise:
         x = rand((3,), seed=25, grad=True)
         y = Tensor(np.array([1.5, -2.0, 0.7]), requires_grad=True)
         check_gradients(lambda x, y: (x / y).sum(), [x, y])
+
+    @pytest.mark.parametrize("op,kept", [(operator.mul, False),
+                                         (operator.truediv, False),
+                                         (lambda p, c: c / p, True)])
+    def test_keeps_only_what_a_taken_gradient_reads(self, op, kept):
+        """With a constant c, which takes no gradient, x * c and x / c keep
+        c alone, the one array x's gradient reads; c / x keeps x, which its
+        own gradient reads."""
+        x = rand((1, 2, 4, 4), seed=26, grad=True)
+        p = conv2d(x, rand((3, 2, 1, 1), seed=27, grad=True))
+        ref = weakref.ref(p.data)
+        c = Tensor(np.linspace(1.0, 2.0, 16).reshape(1, 1, 4, 4))
+        loss = op(p, c).sum()
+        del p
+        assert (ref() is not None) == kept
+        backward(loss)
+        assert ref() is None
 
 
 # ------------------------------------------------------------------ gap
@@ -996,23 +1054,29 @@ def test_default_model_step_memory():
     72.0 MiB with the ReLU inside the norm's node (400 nodes), 73.7 MiB
     with each CFM's three branch convs as one conv: its stacked weights
     (1.7 MiB over the four CFMs) are kept for the input gradient (412
-    nodes), and 67.9 MiB with each side output's structure loss and the
-    edge loss as one node that keeps only its sigmoid map.  The 296 nodes
+    nodes), 67.9 MiB with each side output's structure loss and the
+    edge loss as one node that keeps only its sigmoid map, and 36.8 MiB
+    with the outputs of batch norm, concatenation, the elementwise ops and
+    resizing rebuilt in backward from what the graph keeps anyway, and
+    ``mul``/``div`` keeping only what a taken gradient reads (46.6 MiB if
+    only batch norm and concatenation outputs are rebuilt).  The 296 nodes
     are 400, less 2 conv nodes per CFM, plus per CFM the weight and bias
     concatenations and three channel slices (412), less the 121 nodes that
     built the loss op by op (27 per structure loss, 13 for the edge loss),
-    plus the 5 ``structure_loss`` nodes that stand for them now.  The peak
-    from the forward's start to
-    the end of ``backward()`` is 75.7 MiB, set in the forward by
-    ``cfms.cfm1.out``'s shifted-window conv, whose padded copy of its
-    192-channel input takes 7.1 MiB; ``backward()`` itself peaks at 71.5.
-    A mutated ``backward`` that gave each slice's gradient its own
-    zero-padded full-size array and summed them peaked at 77.7.  These
-    figures depend only on shapes and dtypes, not on timing.  The bounds
-    lie about halfway: 73 MiB kept fails if the loss's maps are kept op by
-    op again (73.7) or the block ReLU outputs that no consumer needs are
-    kept again, and a 77 MiB peak fails if the slices' gradients stop going
-    into one buffer."""
+    plus the 5 ``structure_loss`` nodes that stand for them now; rebuilds
+    add none.  The peak from the forward's start to the end of
+    ``backward()`` is 63.0 MiB (66.5 with only batch norm and concatenation
+    rebuilt; 75.7 before rebuilds), set in the forward by
+    ``cfms.cfm1.out``'s conv, whose padded copy of its 192-channel input
+    takes 7.1 MiB while the CFM's own variables hold its branch outputs.
+    ``backward()`` itself peaks at 49.0 MiB (53.9 with only batch norm and
+    concatenation rebuilt, 71.5 before rebuilds); a mutated ``backward``
+    that gave each slice's gradient its own zero-padded full-size array and
+    summed them peaked at 59.0.  These figures depend only on shapes and
+    dtypes, not on timing.  The bounds lie about halfway: 42 MiB kept and
+    a 65 MiB peak fail if only batch norm and concatenation outputs are
+    rebuilt, and a 51.5 MiB peak of ``backward()`` fails then too, and if
+    the slices' gradients stop going into one buffer."""
     cfg = ModelConfig()
     model = EFANet(cfg, seed=0, dtype=np.float32)
     rng = np.random.default_rng(0)
@@ -1022,15 +1086,68 @@ def test_default_model_step_memory():
     try:
         base = tracemalloc.get_traced_memory()[0]
         loss = total_loss(model(image), mask, mask, cfg).total
-        kept = tracemalloc.get_traced_memory()[0] - base
+        kept, forward_peak = (m - base for m in tracemalloc.get_traced_memory())
         nodes = graph_nodes(loss)
+        tracemalloc.reset_peak()
         backward(loss)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        backward_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    peak = max(forward_peak, backward_peak)
     assert nodes == 296
-    assert kept < 73 * 2 ** 20, f"{kept / 2 ** 20:.1f} MiB kept for backward"
-    assert peak < 77 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB peak through backward"
+    assert kept < 42 * 2 ** 20, f"{kept / 2 ** 20:.1f} MiB kept for backward"
+    assert peak < 65 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB peak through backward"
+    assert backward_peak < 51.5 * 2 ** 20, \
+        f"{backward_peak / 2 ** 20:.1f} MiB peak in backward"
+
+
+# -------------------------------------------------------------- rebuilds
+
+
+def default_model_outputs(monkeypatch, training=True, grad=True):
+    """Every tensor an op returns in one forward of the default float32
+    model (batch 8, 64x64), in train or eval mode, with or without graph."""
+    outs, make = [], engine._make_node
+
+    def spy(*args):
+        out = make(*args)
+        outs.append(out)
+        return out
+
+    monkeypatch.setattr(engine, "_make_node", spy)
+    model = EFANet(ModelConfig(), seed=0, dtype=np.float32)
+    model.set_training(training)
+    image = np.random.default_rng(0).normal(size=(8, 1, 64, 64))
+    with contextlib.nullcontext() if grad else engine.no_grad():
+        model(Tensor(image.astype(np.float32)))
+    return outs
+
+
+def test_default_model_rebuilds_bit_for_bit(monkeypatch):
+    """In a train-mode forward, each output that has a rebuild gets its
+    array back from it: equal bits, dtype and shape.  Every batch norm
+    output has one, and no conv output, which batch norm keeps anyway."""
+    outs = default_model_outputs(monkeypatch)
+    rebuilt = Counter()
+    for t in outs:
+        op = t._node.fn.__qualname__.split(".")[0]
+        if t._rebuild is None:
+            assert op != "batch_norm"
+            continue
+        assert op != "conv2d"
+        rebuilt[op] += 1
+        a = t._rebuild()
+        assert a.dtype == t.dtype and a.shape == t.shape
+        assert np.array_equal(a, t.data)
+    assert set(rebuilt) == {"batch_norm", "concat", "_binary", "_unary",
+                            "bilinear_resize"}
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_no_rebuild_under_no_grad(monkeypatch, training):
+    outs = default_model_outputs(monkeypatch, training, grad=False)
+    assert outs
+    assert all(t._rebuild is None and t._node is None for t in outs)
 
 
 # ----------------------------------------------------------------- adam
