@@ -258,9 +258,14 @@ def _as_tensor(x, dtype=None):
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+def _records(parents):
+    """Whether an op on `parents` records a graph node."""
+    return _state.grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _make_node(data, parents, backward_fn, rebuild=None):
     out = Tensor(data)
-    if _state.grad_enabled and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out._node = _Node(tuple(p._node or (p if p.requires_grad else None)
                                 for p in parents), backward_fn, out.dtype)
@@ -727,6 +732,9 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
     if bias is not None:
         out += bias.data[None, :, None, None]
     _record_flops("conv", flops * oh * ow)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    if not _records(parents):
+        return Tensor(out)
 
     shifted = _shifts(cin, cout, kh, kw, stride, dilation, w + 2 * pw)
     qh, qw = dilation * (kh - 1) - ph, dilation * (kw - 1) - pw
@@ -762,7 +770,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
                 :, :, ph:ph + h, pw:pw + w])
         return (gx, gw, g.sum(axis=(0, 2, 3))) if biased else (gx, gw)
 
-    return _make_node(out, (x, weight, bias) if biased else (x, weight), bwd)
+    return _make_node(out, parents, bwd)
 
 
 def _channel_sum(a, b=None):
@@ -989,7 +997,11 @@ def backward(loss):
 
 
 class Adam:
-    """Bias-corrected Adam over a list of parameter tensors."""
+    """Bias-corrected Adam over a list of parameter tensors.
+
+    The moment arrays in ``m`` and ``v`` are updated in place, with the same
+    roundings as the out-of-place ``beta * m + (1 - beta) * g``, so no step
+    reallocates them among the freed arrays of the step before."""
 
     def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
@@ -1009,12 +1021,14 @@ class Adam:
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for i, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            mhat = self.m[i] / bc1
-            vhat = self.v[i] / bc2
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            mhat = m / bc1
+            vhat = v / bc2
             p.data -= (self.lr * mhat / (np.sqrt(vhat) + self.eps)).astype(
                 p.dtype, copy=False)
             p.grad = None

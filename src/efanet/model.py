@@ -123,15 +123,21 @@ class CrossLevelFusion(Module):
             raise ValueError(
                 f"cross-level fusion needs matching spatial sizes, got "
                 f"{fa.shape} vs {fb.shape}")
-        cat = concat_channels([fa, fb])
+        # each branch output is dropped once the graph holds what it needs,
+        # so none stays alive through `self.out`, the step's peak
         cat1, cat2, cat3 = sibling_blocks(
-            (self.branch1, self.branch2, self.branch3), cat)
+            (self.branch1, self.branch2, self.branch3),
+            concat_channels([fa, fb]))
         w_local = sigmoid(self.local_pwc2(relu(self.local_pwc1(cat1))))
+        en1 = cat1 * w_local + cat1
+        del cat1, w_local
         w_global = sigmoid(self.global_pwc2(relu(self.global_pwc1(
             global_avg_pool(cat2)))))
-        en1 = cat1 * w_local + cat1
         en2 = cat2 * w_global + cat2
-        return self.out(concat_channels([en1, en2, cat3]))
+        del cat2, w_global
+        x = concat_channels([en1, en2, cat3])
+        del en1, en2, cat3
+        return self.out(x)
 
 
 class SideHead(Module):

@@ -80,6 +80,23 @@ def train(cfg: RunConfig):
     start = time.time()
     ratios = cfg.aug.scale_ratios if cfg.train.multiscale else (1.0,)
 
+    def _step(batch):
+        """Forward, loss, finite check, backward and Adam on one batch of
+        (image, mask, edge) triples; returns the loss values, so the step's
+        tensors are freed before the next batch is drawn."""
+        image, mask, edge = _batch_tensors(batch, dtype)
+        loss = total_loss(model(image), mask, edge, cfg.model)
+        seg_vals, edge_val, total_val = loss.values()
+        if not np.isfinite(total_val):
+            bad = [k for k, v in zip(LOSS_TERMS, [*seg_vals, edge_val])
+                   if not np.isfinite(v)]
+            raise NumericFailure(f"non-finite loss at step {step} "
+                                 f"({', '.join(bad or ['total'])})",
+                                 last_ckpt)
+        loss.total.backward()
+        opt.step()
+        return seg_vals, edge_val, total_val
+
     with open(log_path, "w", encoding="utf-8") as log:
         log.write("\t".join(["step", "epoch", *LOSS_TERMS, "total"]) + "\n")
         for epoch in range(cfg.optim.epochs):
@@ -98,18 +115,7 @@ def train(cfg: RunConfig):
                     image, mask = pipeline.rescale(samples[i].image,
                                                    samples[i].mask, size)
                     batch.append(pipeline.augment(image, mask, rng, cfg.aug))
-                image, mask, edge = _batch_tensors(batch, dtype)
-                out = model(image)
-                loss = total_loss(out, mask, edge, cfg.model)
-                seg_vals, edge_val, total_val = loss.values()
-                if not np.isfinite(total_val):
-                    bad = [k for k, v in zip(LOSS_TERMS, [*seg_vals, edge_val])
-                           if not np.isfinite(v)]
-                    raise NumericFailure(f"non-finite loss at step {step} "
-                                         f"({', '.join(bad or ['total'])})",
-                                         last_ckpt)
-                loss.total.backward()
-                opt.step()
+                seg_vals, edge_val, total_val = _step(batch)
                 step += 1
                 line = (f"{step}\t{epoch}\t" +
                         "\t".join(f"{v:.6f}" for v in seg_vals) +

@@ -94,3 +94,32 @@ def test_samples_carry_what_the_bench_reads(tmp_path):
     loaded = pipeline.load_sample(record, 1)
     assert loaded.image.ndim == 3 and loaded.image.shape[1:] == (32, 32)
     assert loaded.mask.shape == (1, 32, 32)
+
+
+def test_light_trace_gives_an_interval_per_step_after_the_first(tmp_path):
+    """``op_ms`` on ``train-64`` comes from ``tracing.step_intervals``: one
+    interval from each ``Adam.step`` return to the next inside one
+    ``train()`` call.  Two toy calls of 4 and 3 steps under the light tracer
+    give 3 + 2 intervals, each with its optimizer time and no phase parts."""
+    from efanet import train as T
+    assert cli.main(["synth", "--n", "6", "--size", "32", "--seed", "3",
+                     "--out", str(tmp_path / "data")]) == 0
+    manifest = str(tmp_path / "data" / "manifest.tsv")
+    runs = []
+    for epochs, max_steps in ((2, 4), (3, 3)):
+        cfg = tiny_run_config(tmp_path, manifest=manifest)
+        cfg.optim.epochs, cfg.optim.max_steps = epochs, max_steps
+        runs.append(cfg)
+    tracer = tracing.Tracer(full=False)
+    try:
+        tracer.install()
+        tracer.set_phase("work")
+        steps = [T.train(cfg)[1] for cfg in runs]
+    finally:
+        tracer.uninstall()
+    assert steps == [4, 3]
+    rows = tracing.step_intervals(tracer.spans, "work")
+    assert len(rows) == sum(n - 1 for n in steps)
+    for interval, *parts, optimizer in rows:
+        assert parts == [None] * 4
+        assert 0 < optimizer < interval
