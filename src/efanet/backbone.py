@@ -28,6 +28,10 @@ class BackboneConfig:
             raise ValueError("backbone needs exactly 5 levels")
         if min(self.channels_per_level + (self.input_channels, self.stem_channels)) < 1:
             raise ValueError("channel counts must be strictly positive")
+        # a level of 0 blocks keeps only its transition conv
+        if min(self.blocks_per_level) < 0:
+            raise ValueError(f"backbone.blocks_per_level must be >= 0, "
+                             f"got {self.blocks_per_level}")
 
 
 class Backbone(Module):

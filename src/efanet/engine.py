@@ -23,11 +23,11 @@ closure keeps only what its formula reads:
 An input is kept by its rebuild where it has one, else by its array.  A
 rebuild returns a tensor's array again, bit for bit, from arrays the graph
 keeps anyway: batch norm's runs the norm's ops again on the input it keeps;
-relu's, sigmoid's and exp's is their kept output; a concatenation's, where
-a part has one, joins its parts' rebuilds and the other parts' arrays; and
-add's, sub's, mul's, div's and a resize's, where each input has one or is
-a leaf, runs the op again.  A rebuild comes only with a graph node, so a
-forward under ``no_grad`` builds none.
+relu's, sigmoid's and exp's is their kept output; and a concatenation's,
+add's, sub's, mul's, div's and a resize's, where any input has a rebuild or
+is a leaf, runs the op again on each input as it is kept (``_rerun``).  A
+rebuild comes only with a graph node, so a forward under ``no_grad`` builds
+none.
 
 ``backward`` replays the graph in reverse topological order into the
 requires_grad leaves, freeing each node's parents and closure as it goes; a
@@ -282,12 +282,14 @@ def _kept(t):
     return lambda: data
 
 
-def _rebuilds(ts):
-    """``_kept`` of each of `ts` if each has a rebuild or is a leaf, so that
-    an op's output can be rebuilt from them; otherwise None."""
-    if _state.grad_enabled and all(t._rebuild is not None or t._node is None
+def _rerun(fn, ts):
+    """The rebuild of an op's output ``fn(*arrays)`` on the arrays of `ts`:
+    under grad mode, when an input has a rebuild or is a leaf, `fn` run
+    again on each input as ``_kept`` keeps it; otherwise None."""
+    if _state.grad_enabled and any(t._rebuild is not None or t._node is None
                                    for t in ts):
-        return [_kept(t) for t in ts]
+        kept = [_kept(t) for t in ts]
+        return lambda: fn(*[k() for k in kept])
     return None
 
 
@@ -329,9 +331,7 @@ def _binary(name, fn, grad_x, grad_y, reads_x="", reads_y=""):
             return (_unbroadcast(grad_x(g, xd, yd), xs) if wants_x else None,
                     _unbroadcast(grad_y(g, xd, yd), ys) if wants_y else None)
 
-        ks = _rebuilds((x, y))
-        return _make_node(data, (x, y), bwd,
-                          ks and (lambda: fn(ks[0](), ks[1]())))
+        return _make_node(data, (x, y), bwd, _rerun(fn, (x, y)))
 
     op.__name__ = op.__qualname__ = name
     return op
@@ -482,13 +482,8 @@ def concat(xs, axis):
         return tuple(np.ascontiguousarray(part)
                      for part in np.split(g, splits, axis=axis))
 
-    # rebuilt if a part is: a part without a rebuild keeps its array, so the
-    # rebuild keeps no more than the concatenation would
-    parts = None
-    if _state.grad_enabled and any(t._rebuild is not None for t in xs):
-        parts = [_kept(t) for t in xs]
-    return _make_node(data, tuple(xs), bwd, parts and (
-        lambda: np.concatenate([part() for part in parts], axis=axis)))
+    return _make_node(data, tuple(xs), bwd, _rerun(
+        lambda *parts: np.concatenate(parts, axis=axis), xs))
 
 
 def concat_channels(xs):
@@ -906,10 +901,13 @@ def bilinear_resize(x, out_h, out_w):
     if x.data.ndim != 4:
         raise ValueError(f"bilinear_resize expects a 4-D tensor, got shape {x.shape}")
     h, w, dtype = x.shape[2], x.shape[3], x.dtype
-    ks = _rebuilds((x,))
     if (out_h, out_w) == (h, w):
-        return _make_node(x.data, (x,), lambda g: (g,), ks and ks[0])
-    out = np.ascontiguousarray(resize_bilinear_np(x.data, out_h, out_w))
+        return _make_node(x.data, (x,), lambda g: (g,), _rerun(lambda a: a, (x,)))
+
+    def fn(a):
+        return np.ascontiguousarray(resize_bilinear_np(a, out_h, out_w))
+
+    out = fn(x.data)
     _record_flops("resize", out.size)
 
     def bwd(g):
@@ -918,8 +916,7 @@ def bilinear_resize(x, out_h, out_w):
         t = np.swapaxes(np.swapaxes(g, -1, -2) @ mh, -1, -2)
         return (np.ascontiguousarray(t @ mw),)
 
-    return _make_node(out, (x,), bwd, ks and (lambda: np.ascontiguousarray(
-        resize_bilinear_np(ks[0](), out_h, out_w))))
+    return _make_node(out, (x,), bwd, _rerun(fn, (x,)))
 
 
 # -- backward pass -----------------------------------------------------------

@@ -26,6 +26,17 @@ class TestConfig:
             with pytest.raises(ValueError, match="positive"):
                 BackboneConfig(**kw)
 
+    def test_negative_block_count_rejected(self):
+        with pytest.raises(ValueError, match="backbone.blocks_per_level"):
+            BackboneConfig(blocks_per_level=(-3, 1, 1, 1, 1))
+        # 0 blocks: the level keeps only its transition conv
+        config = small_config()
+        config.blocks_per_level = (0, 1, 1, 1, 1)
+        net = make(config)
+        assert list(net.levels[0].blocks) == []
+        net.eval()
+        assert net(_image(32))[0].shape == (1, 4, 16, 16)
+
 
 class TestStrideContract:
     @pytest.mark.parametrize("size", [32, 64, 96])

@@ -113,7 +113,8 @@ class TestConfig:
         ("optim.beta2", "1"), ("optim.eps", "0"), ("optim.eps", "-1e-8"),
         ("optim.eps", "nan"), ("optim.eps", "inf"), ("model.beta_edge", "-5"),
         ("model.beta_edge", "nan"), ("model.beta_edge", "inf"),
-        ("train.seed", "-1"), ("train.dtype", "float16")])
+        ("train.seed", "-1"), ("train.dtype", "float16"),
+        ("backbone.blocks_per_level", "-3,1,1,1,1")])
     def test_out_of_range_value_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
             parse_config(f"{key} = {value}\n")

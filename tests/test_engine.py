@@ -298,8 +298,11 @@ class TestConv2d:
         def spy(a, wt, ph, pw, stride, dilation):
             shifts = engine._shifts(a.shape[1], wt.shape[0], *wt.shape[2:],
                                     stride, dilation, a.shape[3] + 2 * pw)
-            owner = wt if wt.base is None else wt.base  # the conv's weight
-            calls.append((id(owner), "shift" if shifts else "lower"))
+            # the conv's weight, by its bits: a CFM's stacked branch weights
+            # are stacked again in backward, as a new array
+            owner = wt if wt.base is None else wt.base
+            calls.append(((owner.shape, owner.tobytes()),
+                          "shift" if shifts else "lower"))
             return correlate(a, wt, ph, pw, stride, dilation)
 
         monkeypatch.setattr(engine, "_correlate", spy)
@@ -1055,31 +1058,36 @@ def test_default_model_step_memory():
     with each CFM's three branch convs as one conv: its stacked weights
     (1.7 MiB over the four CFMs) are kept for the input gradient (412
     nodes), 67.9 MiB with each side output's structure loss and the
-    edge loss as one node that keeps only its sigmoid map, and 36.8 MiB
+    edge loss as one node that keeps only its sigmoid map, 36.8 MiB
     with the outputs of batch norm, concatenation, the elementwise ops and
     resizing rebuilt in backward from what the graph keeps anyway, and
     ``mul``/``div`` keeping only what a taken gradient reads (46.6 MiB if
-    only batch norm and concatenation outputs are rebuilt).  The 296 nodes
+    only batch norm and concatenation outputs are rebuilt), and 35.2 MiB
+    with an output rebuilt when any input, not each, has a rebuild or is a
+    leaf: the stacked weights and biases, concatenations of parameters,
+    are stacked again in backward, so the conv keeps the parameters, alive
+    anyway, instead of their 1.7 MiB of copies.  The 296 nodes
     are 400, less 2 conv nodes per CFM, plus per CFM the weight and bias
     concatenations and three channel slices (412), less the 121 nodes that
     built the loss op by op (27 per structure loss, 13 for the edge loss),
     plus the 5 ``structure_loss`` nodes that stand for them now; rebuilds
     add none.  The peak from the forward's start to the end of
-    ``backward()`` is 51.0 MiB, set in the forward by ``cfms.cfm1.out``'s
+    ``backward()`` is 49.3 MiB, set in the forward by ``cfms.cfm1.out``'s
     conv, which holds its concatenated 192-channel input (6.0 MiB) and that
-    input's padded copy.  It was 63.0 MiB at the same site while the CFM's
-    own variables still held its branch outputs through that conv (66.5
-    with only batch norm and concatenation rebuilt; 75.7 before rebuilds).
-    ``backward()`` itself peaks at 49.0 MiB (53.9 with only batch norm and
-    concatenation rebuilt, 71.5 before rebuilds); a mutated ``backward``
-    that gave each slice's gradient its own zero-padded full-size array and
-    summed them peaked at 59.0.  These figures depend only on shapes and
-    dtypes, not on timing.  The bounds lie about halfway: 42 MiB kept fails
-    if only batch norm and concatenation outputs are rebuilt, a 57 MiB
-    peak fails if the CFM holds its branch outputs through ``self.out``,
-    and a 51.5 MiB peak of ``backward()`` fails if only batch norm and
-    concatenation are rebuilt, and if the slices' gradients stop going
-    into one buffer."""
+    input's padded copy.  It was 51.0 MiB with the stacked weights kept,
+    and 63.0 MiB at the same site while the CFM's own variables still held
+    its branch outputs through that conv (66.5 with only batch norm and
+    concatenation rebuilt; 75.7 before rebuilds).  ``backward()`` itself
+    peaks at 47.4 MiB (49.0 with the stacked weights kept, 53.9 with only
+    batch norm and concatenation rebuilt, 71.5 before rebuilds); a mutated
+    ``backward`` that gave each slice's gradient its own zero-padded
+    full-size array and summed them peaked at 59.0.  These figures depend
+    only on shapes and dtypes, not on timing.  The bounds lie about
+    halfway: 36 MiB kept, a 50.2 MiB peak and a 48.2 MiB peak of
+    ``backward()`` each fail if the stacked weights are kept, and so if
+    only batch norm and concatenation outputs are rebuilt, or if the CFM
+    holds its branch outputs through ``self.out``, or if the slices'
+    gradients stop going into one buffer."""
     cfg = ModelConfig()
     model = EFANet(cfg, seed=0, dtype=np.float32)
     rng = np.random.default_rng(0)
@@ -1098,9 +1106,9 @@ def test_default_model_step_memory():
         tracemalloc.stop()
     peak = max(forward_peak, backward_peak)
     assert nodes == 296
-    assert kept < 42 * 2 ** 20, f"{kept / 2 ** 20:.1f} MiB kept for backward"
-    assert peak < 57 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB peak through backward"
-    assert backward_peak < 51.5 * 2 ** 20, \
+    assert kept < 36 * 2 ** 20, f"{kept / 2 ** 20:.1f} MiB kept for backward"
+    assert peak < 50.2 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB peak through backward"
+    assert backward_peak < 48.2 * 2 ** 20, \
         f"{backward_peak / 2 ** 20:.1f} MiB peak in backward"
 
 
@@ -1129,8 +1137,14 @@ def default_model_outputs(monkeypatch, training=True, grad=True):
 def test_default_model_rebuilds_bit_for_bit(monkeypatch):
     """In a train-mode forward, each output that has a rebuild gets its
     array back from it: equal bits, dtype and shape.  Every batch norm
-    output has one, and no conv output, which batch norm keeps anyway."""
+    output has one, and no conv output, which batch norm keeps anyway; so
+    do the 8 concatenations of each CFM's branch weights and biases, of
+    parameters alone, so that the fused conv keeps no stacked copy."""
     outs = default_model_outputs(monkeypatch)
+    stacked = [t for t in outs if t._node.fn.__qualname__.startswith("concat")
+               and all(isinstance(p, Tensor) for p in t._node.parents)]
+    assert len(stacked) == 8
+    assert all(t._rebuild is not None for t in stacked)
     rebuilt = Counter()
     for t in outs:
         op = t._node.fn.__qualname__.split(".")[0]
@@ -1144,6 +1158,40 @@ def test_default_model_rebuilds_bit_for_bit(monkeypatch):
         assert np.array_equal(a, t.data)
     assert set(rebuilt) == {"batch_norm", "concat", "_binary", "_unary",
                             "bilinear_resize"}
+
+
+def test_rebuild_rule():
+    """An op's output gets a rebuild when any input, not each, has one or
+    is a leaf, and each rebuild gives back the output's bits and dtype; under
+    ``no_grad`` none is built."""
+    x, w, b = (Tensor(rand(shape, seed).data, requires_grad=True,
+                      dtype=np.float32)
+               for shape, seed in (((2, 3, 4, 4), 51), ((3, 3, 1, 1), 52),
+                                   ((3,), 53)))
+    c = Tensor(np.float32(1.5))
+
+    def outputs():
+        a, plain = conv2d(x, w), conv2d(x, w, b)
+        r = relu(a)  # rebuilt: relu's rebuild is its kept output
+        return {"rebuilt * leaf": r * c, "plain + plain": a + plain,
+                "concat of leaves": engine.concat([w, w], 0),
+                "concat of rebuilt and plain": engine.concat([r, plain], 1),
+                "identity resize": bilinear_resize(r, 4, 4),
+                "resize": bilinear_resize(r, 7, 5)}
+
+    outs = outputs()
+    assert {k: t._rebuild is not None for k, t in outs.items()} == {
+        "rebuilt * leaf": True, "plain + plain": False,
+        "concat of leaves": True, "concat of rebuilt and plain": True,
+        "identity resize": True, "resize": True}
+    for t in outs.values():
+        if t._rebuild is not None:
+            a = t._rebuild()
+            assert a.dtype == t.dtype == np.float32
+            assert np.array_equal(a, t.data)
+    with engine.no_grad():
+        assert engine._rerun(lambda a: a, [x]) is None
+        assert all(t._rebuild is None for t in outputs().values())
 
 
 @pytest.mark.parametrize("training", [True, False])
