@@ -24,10 +24,14 @@ class BackboneConfig:
     def __post_init__(self):
         self.channels_per_level = tuple(int(c) for c in self.channels_per_level)
         self.blocks_per_level = tuple(int(b) for b in self.blocks_per_level)
-        if len(self.channels_per_level) != 5 or len(self.blocks_per_level) != 5:
-            raise ValueError("backbone needs exactly 5 levels")
-        if min(self.channels_per_level + (self.input_channels, self.stem_channels)) < 1:
-            raise ValueError("channel counts must be strictly positive")
+        for key in ("channels_per_level", "blocks_per_level"):
+            value = getattr(self, key)
+            if len(value) != 5:
+                raise ValueError(f"backbone.{key} needs exactly 5 levels, got {value}")
+        for key in ("input_channels", "stem_channels", "channels_per_level"):
+            value = getattr(self, key)
+            if np.min(value) < 1:
+                raise ValueError(f"backbone.{key} must be positive, got {value}")
         # a level of 0 blocks keeps only its transition conv
         if min(self.blocks_per_level) < 0:
             raise ValueError(f"backbone.blocks_per_level must be >= 0, "

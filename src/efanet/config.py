@@ -153,7 +153,7 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def parse_config(text) -> RunConfig:
-    cfg = RunConfig()
+    cfg, seen = RunConfig(), {}
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -170,6 +170,10 @@ def parse_config(text) -> RunConfig:
         obj = _SECTIONS[section](cfg)
         if not hasattr(obj, name) or (section, name) in _SKIP:
             raise ConfigError(f"line {ln}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {ln}: key {key!r} is already set on line "
+                              f"{seen[key]}")
+        seen[key] = ln
         proto = getattr(obj, name)
         try:
             setattr(obj, name, _parse_value(value, proto))

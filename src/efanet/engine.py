@@ -48,10 +48,8 @@ copies nothing but the padding.  The backward keeps no columns: it reads
 the kept input again (recompute instead of memory), and the weight
 gradient takes the forward's method, one GEMM per sample over either the
 lowered columns or all taps' shifted windows stacked, adding the samples'
-products in batch order.  A stride-1 conv runs on its live taps alone:
-``_dead_taps`` cuts the taps that read only zero padding at every output,
-as a dilated 3x3 kernel's outer taps do on a map no wider than its rate.
-Their weight gradient is zero, and FLOPs are booked for the whole kernel.
+products in batch order.  Every conv runs its whole kernel with its own
+padding, even where a dilated tap reads only zero padding at every output.
 """
 
 from __future__ import annotations
@@ -594,7 +592,7 @@ def _shift_conv(a, wt, ph, pw, dilation):
         out.reshape(n, cout, oh, wp)[:, :, :, :wp - dilation * (kw - 1)])
 
 
-def _stacked_weight_grad(a, g, kh, kw, ph, pw, dilation):
+def _stacked_weight_grad(a, g, kh, kw, padding, dilation):
     """Weight gradient of a stride-1 conv of `a` by shifted windows, as one
     GEMM per sample: g is written at each tap's window offset into its own
     Cout rows of a zeroed (kh*kw*Cout, L) buffer, whose product with the
@@ -603,8 +601,8 @@ def _stacked_weight_grad(a, g, kh, kw, ph, pw, dilation):
     columns.  Samples are added in batch order from zero, and only one
     sample's input is flattened at a time."""
     n, cout, oh, ow = g.shape
-    cin, wp = a.shape[1], a.shape[3] + 2 * pw
-    size = (a.shape[2] + 2 * ph) * wp + dilation * (kw - 1)
+    cin, wp = a.shape[1], a.shape[3] + 2 * padding
+    size = (a.shape[2] + 2 * padding) * wp + dilation * (kw - 1)
     rows = np.zeros((kh * kw, cout, size), dtype=g.dtype)
     taps = []
     for i in range(kh):
@@ -617,22 +615,8 @@ def _stacked_weight_grad(a, g, kh, kw, ph, pw, dilation):
     for b in range(n):
         for tap in taps:
             tap[...] = g[b]
-        gw += rows @ _flatten(a[b:b + 1], ph, pw, kw, dilation)[0].T
+        gw += rows @ _flatten(a[b:b + 1], padding, padding, kw, dilation)[0].T
     return np.ascontiguousarray(gw.reshape(kh, kw, cout, cin).transpose(2, 3, 0, 1))
-
-
-def _dead_taps(n, k, padding, dilation):
-    """How many taps at each end of a stride-1 kernel axis read only zero
-    padding at every output of an n-entry input axis.  Tap i reads inputs
-    from i*d - p on, so tap k-1-t reads none while (k-1-t)*d - p >= n, and
-    then, the padding being the same at both ends, neither does tap t.
-    Taps are cut in such pairs, and only while padding p - (t+1)*d is left,
-    so the kernel keeps its live taps and the same outputs."""
-    t = 0
-    while (2 * t + 1 < k and (k - 1 - t) * dilation - padding >= n
-           and padding >= (t + 1) * dilation):
-        t += 1
-    return t
 
 
 def _shifts(cin, cout, kh, kw, stride, dilation, wp):
@@ -678,14 +662,12 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
     copies each tap's slice of one sample's padded input into cols
     (Cin*kh*kw, OH*OW) and multiplies the (Cout, Cin*kh*kw) weight by them
     into that sample's slice of the NCHW output; shifted windows
-    (``_windows``) copy nothing but the padding.  Taps that read only
-    padding at every output are left out (``_dead_taps``), with the padding
-    the live taps need.  No cols are kept for backward, and the input is
-    kept by its rebuild where it has one: the weight gradient reads the
-    input again by the forward's method, one GEMM per sample over the
-    lowered cols or over all taps' shifted windows stacked
-    (``_stacked_weight_grad``).  The input gradient
-    is one ``_correlate`` call, under the same rule, with the flipped kernel
+    (``_windows``) copy nothing but the padding.  No cols are kept for
+    backward, and the input is kept by its rebuild where it has one: the
+    weight gradient reads the input again by the forward's method, one GEMM
+    per sample over the lowered cols or over all taps' shifted windows
+    stacked (``_stacked_weight_grad``).  The input gradient is one
+    ``_correlate`` call, under the same rule, with the flipped kernel
     whose Cin/Cout axes are swapped: of the upstream gradient padded by
     d*(k-1) - padding for a stride-1 conv with padding <= d*(k-1), and
     otherwise of the gradient spread `stride` apart over the padded input,
@@ -712,44 +694,32 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
             f"conv2d: effective kernel ({eff_h}x{eff_w}) exceeds padded input "
             f"({h + 2 * padding}x{w + 2 * padding})")
 
-    # a stride-1 conv runs on its live taps alone, with the padding they
-    # need; the dead taps' weight gradient is zero, and FLOPs are booked for
-    # the whole kernel
-    flops = 2 * n * cout * cin * kh * kw
-    th = _dead_taps(h, kh, padding, dilation) if stride == 1 else 0
-    tw = _dead_taps(w, kw, padding, dilation) if stride == 1 else 0
-    live = np.s_[:, :, th:kh - th, tw:kw - tw]
-    kh, kw = kh - 2 * th, kw - 2 * tw
-    ph, pw = padding - th * dilation, padding - tw * dilation
-
-    out = _correlate(x.data, weight.data[live], ph, pw, stride, dilation)
+    out = _correlate(x.data, weight.data, padding, padding, stride, dilation)
     oh, ow = out.shape[2:]
     if bias is not None:
         out += bias.data[None, :, None, None]
-    _record_flops("conv", flops * oh * ow)
+    _record_flops("conv", 2 * n * cout * cin * kh * kw * oh * ow)
     parents = (x, weight) if bias is None else (x, weight, bias)
     if not _records(parents):
         return Tensor(out)
 
-    shifted = _shifts(cin, cout, kh, kw, stride, dilation, w + 2 * pw)
-    qh, qw = dilation * (kh - 1) - ph, dilation * (kw - 1) - pw
+    shifted = _shifts(cin, cout, kh, kw, stride, dilation, w + 2 * padding)
+    qh, qw = dilation * (kh - 1) - padding, dilation * (kw - 1) - padding
     xk, wk = _kept(x), _kept(weight)
     biased, wants_gx = bias is not None, x.requires_grad
 
     def bwd(g):
         if shifted:
-            gw = _stacked_weight_grad(xk(), g, kh, kw, ph, pw, dilation)
+            gw = _stacked_weight_grad(xk(), g, kh, kw, padding, dilation)
         else:
             # summed in batch order from zero, as numpy's axis-0 sum does
-            xp, g3 = _pad(xk(), ph, pw), g.reshape(n, cout, oh * ow)
+            xp, g3 = _pad(xk(), padding, padding), g.reshape(n, cout, oh * ow)
             gw = np.zeros((cout, cin * kh * kw), dtype=g.dtype)
             for b in range(n):
                 gw += g3[b] @ _lower(xp[b], kh, kw, stride, dilation).T
             del xp
             gw = gw.reshape(cout, cin, kh, kw)
-        if th or tw:
-            gw = np.pad(gw, ((0, 0), (0, 0), (th, th), (tw, tw)))
-        wt = wk()[live][:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        wt = wk()[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         if not wants_gx:
             gx = None
         elif stride == 1 and min(qh, qw) >= 0:
@@ -758,11 +728,11 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1):
             # g spread `stride` apart over the padded input, behind d*(k-1)
             # leading zeros, then cropped back to the input
             eh, ew = dilation * (kh - 1), dilation * (kw - 1)
-            gu = np.zeros((n, cout, h + 2 * ph + eh, w + 2 * pw + ew),
+            gu = np.zeros((n, cout, h + 2 * padding + eh, w + 2 * padding + ew),
                           dtype=g.dtype)
             gu[:, :, eh::stride, ew::stride][:, :, :oh, :ow] = g
             gx = np.ascontiguousarray(_correlate(gu, wt, 0, 0, 1, dilation)[
-                :, :, ph:ph + h, pw:pw + w])
+                :, :, padding:padding + h, padding:padding + w])
         return (gx, gw, g.sum(axis=(0, 2, 3))) if biased else (gx, gw)
 
     return _make_node(out, parents, bwd)

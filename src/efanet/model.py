@@ -27,9 +27,12 @@ class ModelConfig:
     def __post_init__(self):
         self.dilation_rates = tuple(int(r) for r in self.dilation_rates)
         w, t = self.common_width, self.cfm_reduction
-        if w < 1 or t < 1 or (2 * w) % t:
-            raise ValueError(f"common_width={w} and cfm_reduction={t} must be "
-                             "positive, and cfm_reduction must divide 2*common_width")
+        for key, value in (("common_width", w), ("cfm_reduction", t)):
+            if value < 1:
+                raise ValueError(f"model.{key} must be positive, got {value}")
+        if (2 * w) % t:
+            raise ValueError(f"model.cfm_reduction must divide 2*model.common_width "
+                             f"= {2 * w}, got {t}")
         rates = self.dilation_rates
         if not rates or min(rates) < 1 or len(set(rates)) != len(rates):
             raise ValueError("model.dilation_rates must hold one or more distinct "

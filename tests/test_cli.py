@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +43,14 @@ def tiny_run_config(tmp_path, **train_kw):
     for k, v in train_kw.items():
         setattr(cfg.train, k, v)
     return cfg
+
+
+def save_config_with(path, cfg, key, value):
+    """Save `cfg` to `path` with the line of `key` set to the raw `value`."""
+    lines = serialize_config(cfg).splitlines()
+    at = [line.split(" = ")[0] for line in lines].index(key)
+    lines[at] = f"{key} = {value}"
+    path.write_text("\n".join(lines) + "\n")
 
 
 @pytest.fixture
@@ -114,10 +123,21 @@ class TestConfig:
         ("optim.eps", "nan"), ("optim.eps", "inf"), ("model.beta_edge", "-5"),
         ("model.beta_edge", "nan"), ("model.beta_edge", "inf"),
         ("train.seed", "-1"), ("train.dtype", "float16"),
-        ("backbone.blocks_per_level", "-3,1,1,1,1")])
+        ("backbone.blocks_per_level", "-3,1,1,1,1"),
+        ("model.common_width", "0"), ("model.cfm_reduction", "0"),
+        ("model.cfm_reduction", "3"), ("backbone.input_channels", "0"),
+        ("backbone.stem_channels", "0"),
+        ("backbone.channels_per_level", "16,24,0,48,64"),
+        ("backbone.channels_per_level", "16,24"),
+        ("backbone.blocks_per_level", "1,1")])
     def test_out_of_range_value_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
             parse_config(f"{key} = {value}\n")
+
+    def test_key_set_twice_rejected(self):
+        with pytest.raises(ConfigError,
+                           match=r"line 3: key 'train.seed' .* line 1"):
+            parse_config("train.seed = 1\noptim.lr = 0.01\ntrain.seed = 2\n")
 
     def test_free_angles_need_no_angle_list(self):
         cfg = parse_config("aug.rotation_degrees =\n"
@@ -442,7 +462,7 @@ class TestTrainCommand:
         cfg = self._train(tmp_path, dataset, "r1")
         out = cfg.train.out_dir
         assert os.path.exists(os.path.join(out, "final.efac"))
-        lines = open(os.path.join(out, "train_log.tsv")).read().splitlines()
+        lines = Path(out, "train_log.tsv").read_text().splitlines()
         assert lines[0].split("\t") == ["step", "epoch", "seg1", "seg2",
                                         "seg3", "seg4", "edge", "total"]
         assert len(lines) == 1 + 2  # 5 train samples, batch 2 -> 2 steps
@@ -450,8 +470,8 @@ class TestTrainCommand:
     def test_same_seed_identical_loss_log(self, tmp_path, dataset):
         a = self._train(tmp_path, dataset, "rep_a")
         b = self._train(tmp_path, dataset, "rep_b")
-        log_a = open(os.path.join(a.train.out_dir, "train_log.tsv")).read()
-        log_b = open(os.path.join(b.train.out_dir, "train_log.tsv")).read()
+        log_a = Path(a.train.out_dir, "train_log.tsv").read_text()
+        log_b = Path(b.train.out_dir, "train_log.tsv").read_text()
         assert log_a == log_b
 
     def test_zero_lr_leaves_parameters_at_init(self, tmp_path, dataset):
@@ -523,7 +543,7 @@ class TestEvalPredictAnalyze:
         assert cli.main(["eval", "--checkpoint", checkpoint,
                          "--manifest", dataset, "--split", "test",
                          "--out", out, "--oracle-mode"]) == 0
-        report = open(os.path.join(out, "report.tsv")).read().splitlines()
+        report = Path(out, "report.tsv").read_text().splitlines()
         agg = [l for l in report if l.startswith("AGGREGATE")][0].split("\t")
         assert float(agg[1]) == 1.0          # mDice
         assert float(agg[2]) == 1.0          # mIoU
@@ -665,9 +685,7 @@ class TestExitCodes:
                                          key, value):
         cfg = tiny_run_config(tmp_path, manifest=dataset)
         cfg_path = tmp_path / "a.cfg"
-        save_config(cfg_path, cfg)
-        with open(cfg_path, "a", encoding="utf-8") as f:
-            f.write(f"{key} = {value}\n")
+        save_config_with(cfg_path, cfg, key, value)
         assert cli.main(["train", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
@@ -676,21 +694,27 @@ class TestExitCodes:
     def test_negative_seed_is_2(self, tmp_path, dataset, capsys):
         cfg = tiny_run_config(tmp_path, manifest=dataset)
         cfg_path = tmp_path / "s.cfg"
-        save_config(cfg_path, cfg)
-        with open(cfg_path, "a", encoding="utf-8") as f:
-            f.write("train.seed = -1\n")
+        save_config_with(cfg_path, cfg, "train.seed", "-1")
         assert cli.main(["train", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "train.seed" in err and "Traceback" not in err
         assert not os.path.exists(os.path.join(cfg.train.out_dir, "train_log.tsv"))
 
+    def test_key_set_twice_is_2(self, tmp_path, capsys):
+        cfg = tiny_run_config(tmp_path)
+        cfg_path = tmp_path / "k.cfg"
+        cfg_path.write_text(serialize_config(cfg) + "train.seed = 7\n")
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "train.seed" in err and "already set" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(cfg.train.out_dir)
+
     @pytest.mark.parametrize("command", ["train", "analyze"])
     def test_unsupported_dtype_is_2(self, tmp_path, dataset, capsys, command):
         cfg = tiny_run_config(tmp_path, manifest=dataset)
         cfg_path = tmp_path / "t.cfg"
-        save_config(cfg_path, cfg)
-        with open(cfg_path, "a", encoding="utf-8") as f:
-            f.write("train.dtype = float16\n")
+        save_config_with(cfg_path, cfg, "train.dtype", "float16")
         assert cli.main([command, "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "train.dtype" in err and "Traceback" not in err

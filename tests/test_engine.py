@@ -289,9 +289,11 @@ class TestConv2d:
     def test_default_model_step_methods(self, monkeypatch):
         """The (forward, input gradient) methods `_shifts` picks for the 101
         conv calls of one batch-8 64x64 training step of the default model
-        (109 convs, each CFM's three branch convs as one call), and the
-        shifted weight gradients that stack their taps."""
-        calls = []
+        (109 convs, each CFM's three branch convs as one call), the
+        shifted weight gradients that stack their taps, and the kernel
+        shapes: every call gets its conv's whole kernel, also the dilated
+        SCM convs whose outer taps read only padding."""
+        calls, kernels = [], Counter()
         correlate = engine._correlate
         stacked = self.spy_stacked(monkeypatch)
 
@@ -303,6 +305,7 @@ class TestConv2d:
             owner = wt if wt.base is None else wt.base
             calls.append(((owner.shape, owner.tobytes()),
                           "shift" if shifts else "lower"))
+            kernels[wt.shape[2:]] += 1
             return correlate(a, wt, ph, pw, stride, dilation)
 
         monkeypatch.setattr(engine, "_correlate", spy)
@@ -332,6 +335,10 @@ class TestConv2d:
         # every conv whose forward took shifted windows stacks its weight
         # gradient's taps: 8 + 22 above
         assert len(stacked) == 30
+        # 101 forwards and 100 input gradients, each with its conv's whole
+        # kernel: cutting the padding-only taps of the six dilated SCM
+        # convs on maps no wider than their rate would move 12 to 1x1
+        assert kernels == {(3, 3): 127, (1, 1): 74}
 
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (1, 3)])
     def test_input_without_gradient(self, monkeypatch, stride, padding):
@@ -360,44 +367,35 @@ class TestConv2d:
         np.testing.assert_array_equal(gw0, gw)
         np.testing.assert_array_equal(gb0, gb)
 
-    # (H, W), k, padding, dilation, and the live kernel `_correlate` gets:
-    # every tap but the centre, the middle row, two taps cut from each end
-    # of a 5-tap axis, and a centre that still needs padding
-    DEAD_TAP_CASES = [
+    # (H, W), k, padding, dilation, and the taps that read more than padding:
+    # the centre alone, the middle row, a 5-tap axis's middle tap, and the
+    # centre alone under padding wider than the dilation
+    PADDING_ONLY_TAP_CASES = [
         ((4, 4), 3, 4, 4, (1, 1)),
         ((4, 12), 3, 4, 4, (1, 3)),
         ((3, 3), 5, 4, 2, (3, 3)),
         ((4, 4), 3, 10, 8, (1, 1)),
     ]
 
-    @pytest.mark.parametrize("case", DEAD_TAP_CASES)
-    def test_dead_taps(self, monkeypatch, case):
-        """A stride-1 conv runs on the taps that read more than padding: its
-        float64 gradients pass the finite-difference check, its output and
-        gradients match the full kernel's to 1e-12, and the dead taps'
+    @pytest.mark.parametrize("case", PADDING_ONLY_TAP_CASES)
+    def test_padding_only_taps(self, case):
+        """A stride-1 conv whose outer taps read only padding at every
+        output: its float64 gradients pass the finite-difference check, its
+        output and gradients match the tap loop's to 1e-12, and those taps'
         weight gradient is exactly zero."""
         (h, w), k, padding, dilation, live = case
-        kernels = []
-        correlate = engine._correlate
-
-        def spy(a, wt, *args):
-            kernels.append(wt.shape[2:])
-            return correlate(a, wt, *args)
-
-        monkeypatch.setattr(engine, "_correlate", spy)
         for bias in (True, False):
             check_conv_gradients((3, 2), k, 1, padding, dilation, bias,
                                  hw=(h, w))
         check_conv_tap_loop((h, w), (3, 2), k, 1, padding, dilation)
-        assert set(kernels) == {live}
         x, wt, b, r = conv_case((2, h, w), (3, 2), k, 1, padding, dilation, 5)
         backward((conv2d(x, wt, b, padding=padding, dilation=dilation)
                   * r).sum())
         th, tw = (k - live[0]) // 2, (k - live[1]) // 2
-        dead = np.ones((k, k), bool)
-        dead[th:k - th, tw:k - tw] = False
-        assert (wt.grad[:, :, dead] == 0).all()
-        assert (wt.grad[:, :, ~dead] != 0).all()
+        outer = np.ones((k, k), bool)
+        outer[th:k - th, tw:k - tw] = False
+        assert (wt.grad[:, :, outer] == 0).all()
+        assert (wt.grad[:, :, ~outer] != 0).all()
 
     def test_dilated_gradients(self):
         x = rand((1, 2, 9, 9), seed=6, grad=True)
@@ -1066,20 +1064,23 @@ def test_default_model_step_memory():
     with an output rebuilt when any input, not each, has a rebuild or is a
     leaf: the stacked weights and biases, concatenations of parameters,
     are stacked again in backward, so the conv keeps the parameters, alive
-    anyway, instead of their 1.7 MiB of copies.  The 296 nodes
+    anyway, instead of their 1.7 MiB of copies (35.16 MiB while six dilated
+    SCM convs ran on a live kernel cut of its padding-only taps, 35.12 MiB
+    with every conv on its whole kernel).  The 296 nodes
     are 400, less 2 conv nodes per CFM, plus per CFM the weight and bias
     concatenations and three channel slices (412), less the 121 nodes that
     built the loss op by op (27 per structure loss, 13 for the edge loss),
     plus the 5 ``structure_loss`` nodes that stand for them now; rebuilds
     add none.  The peak from the forward's start to the end of
-    ``backward()`` is 49.3 MiB, set in the forward by ``cfms.cfm1.out``'s
-    conv, which holds its concatenated 192-channel input (6.0 MiB) and that
-    input's padded copy.  It was 51.0 MiB with the stacked weights kept,
+    ``backward()`` is 49.3 MiB (49.29; 49.33 with the cut kernels), set in
+    the forward by ``cfms.cfm1.out``'s conv, which holds its concatenated
+    192-channel input (6.0 MiB) and that input's padded copy.  It was 51.0 MiB with the stacked weights kept,
     and 63.0 MiB at the same site while the CFM's own variables still held
     its branch outputs through that conv (66.5 with only batch norm and
     concatenation rebuilt; 75.7 before rebuilds).  ``backward()`` itself
-    peaks at 47.4 MiB (49.0 with the stacked weights kept, 53.9 with only
-    batch norm and concatenation rebuilt, 71.5 before rebuilds); a mutated
+    peaks at 47.3 MiB (47.36 with the cut kernels, 49.0 with the stacked
+    weights kept, 53.9 with only batch norm and concatenation rebuilt, 71.5
+    before rebuilds); a mutated
     ``backward`` that gave each slice's gradient its own zero-padded
     full-size array and summed them peaked at 59.0.  These figures depend
     only on shapes and dtypes, not on timing.  The bounds lie about
